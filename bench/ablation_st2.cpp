@@ -21,7 +21,6 @@
 #include "src/common/bitutils.hpp"
 #include "src/common/table.hpp"
 #include "src/sim/spec_harness.hpp"
-#include "src/sim/timing.hpp"
 #include "src/sim/trace_run.hpp"
 #include "src/workloads/workload.hpp"
 
@@ -171,16 +170,11 @@ int main() {
       if (own_c_crf) {
         // C: the CRF realization under the timing simulator.
         bench::heartbeat();
-        workloads::PreparedCase pc2 =
-            workloads::prepare_case(info.name, scale);
         sim::GpuConfig cfg = sim::GpuConfig::st2();
         cfg.num_sms = 8;
-        sim::TimingSimulator ts(cfg, bench::engine_options());
-        sim::EventCounters c;
-        for (const auto& lc : pc2.launches) {
-          c += ts.run_report(pc2.kernel, lc, *pc2.mem).chip;
-        }
-        st2_crf_sum += c.adder_misprediction_rate();
+        st2_crf_sum +=
+            bench::run_kernel(info.name, scale, {cfg, bench::engine_options()})
+                .counters.adder_misprediction_rate();
       }
       ++n;
     }
@@ -258,25 +252,18 @@ int main() {
       for (const char* name :
            {"sad_K1", "kmeans_K1", "pathfinder", "sortNets_K1", "histo_K1"}) {
         bench::heartbeat();
-        auto run = [&](bool st2_on) {
-          workloads::PreparedCase pc2 = workloads::prepare_case(name, scale);
+        auto measure = [&](bool st2_on) {
           sim::GpuConfig cfg =
               st2_on ? sim::GpuConfig::st2() : sim::GpuConfig::baseline();
           cfg.scheduler = sched;
           cfg.num_sms = 8;
-          sim::TimingSimulator ts(cfg, bench::engine_options());
-          sim::EventCounters c2;
-          std::uint64_t cycles = 0;
-          for (const auto& lc : pc2.launches) {
-            const sim::RunReport r = ts.run_report(pc2.kernel, lc, *pc2.mem);
-            c2 += r.chip;
-            cycles += r.wall_cycles();
-          }
+          const auto res =
+              bench::run_kernel(name, scale, {cfg, bench::engine_options()});
           return std::pair<std::uint64_t, double>(
-              cycles, c2.adder_misprediction_rate());
+              res.cycles, res.counters.adder_misprediction_rate());
         };
-        const auto [base_cycles, unused] = run(false);
-        const auto [st2_cycles, mp] = run(true);
+        const auto [base_cycles, unused] = measure(false);
+        const auto [st2_cycles, mp] = measure(true);
         slow_sum += double(st2_cycles) / double(base_cycles) - 1.0;
         mp_sum += mp;
         ++k;

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -17,12 +16,20 @@
 
 #include "src/common/table.hpp"
 #include "src/orch/fragment.hpp"
+#include "src/run/run.hpp"
 #include "src/sim/engine.hpp"
 #include "src/sim/error.hpp"
 #include "src/sim/trace_run.hpp"
+#include "src/snapshot/snapshot.hpp"
 #include "src/tracecache/tracecache.hpp"
 
 namespace st2::bench {
+
+/// Prints the structured `error[kind]: message` line and exits with the
+/// kind's documented code — how every bench reports a fatal failure.
+[[noreturn]] inline void die(const sim::SimError& e) {
+  std::exit(run::report_error(e));
+}
 
 /// Benchmark scale factor: BENCH_SCALE env var overrides the default 0.5
 /// (full evaluation inputs = 1.0; CI smoke = 0.25). The value must be a
@@ -139,8 +146,7 @@ inline tracecache::TraceCache* trace_cache() {
       }
       return cache;
     } catch (const sim::SimError& e) {
-      std::cerr << e.structured() << "\n";
-      std::exit(sim::exit_code(e.kind()));
+      die(e);
     }
   }();
   return cache.get();
@@ -152,6 +158,14 @@ inline sim::EngineOptions engine_options() {
   sim::EngineOptions o;
   o.capture_provider = trace_cache();
   return o;
+}
+
+/// Prepares `kernel` at `scale` and runs all its launches on `m` through the
+/// shared launch loop (run::run_case).
+inline run::CaseResult run_kernel(const std::string& kernel, double scale,
+                                  const run::Machine& m) {
+  workloads::PreparedCase pc = workloads::prepare_case(kernel, scale);
+  return run::run_case(m, pc);
 }
 
 /// Functional trace pass for observer-driven benches. With the cache active
@@ -171,14 +185,17 @@ inline void trace_pass(const isa::Kernel& kernel, const sim::LaunchConfig& lc,
   }
 }
 
-/// Prints the table and writes its CSV to bench_out/<stem>.csv.
+/// Prints the table and writes its CSV to bench_out/<stem>.csv. The write
+/// is atomic and checked: a CSV that cannot be written is an
+/// `error[io-error]` exit (code 7), never a silently missing figure.
 inline void emit(const Table& t, const std::string& stem) {
   std::cout << t << "\n";
-  std::error_code ec;
+  std::error_code ec;  // a failure here surfaces as the write's io error
   std::filesystem::create_directories("bench_out", ec);
-  if (!ec) {
-    std::ofstream csv("bench_out/" + stem + ".csv");
-    csv << t.to_csv();
+  try {
+    snapshot::atomic_write_file("bench_out/" + stem + ".csv", t.to_csv());
+  } catch (const sim::SimError& e) {
+    die(e);
   }
 }
 
@@ -200,10 +217,6 @@ inline void emit_sharded(const Table& t, const std::string& stem,
   }
   std::cout << t << "\n";  // the worker log keeps the human-readable table
   const ShardSpec& sh = shard();
-  const auto die = [&](const sim::SimError& e) {
-    std::cerr << e.structured() << "\n";
-    std::exit(sim::exit_code(e.kind()));
-  };
   if (units.size() != t.raw_rows().size()) {
     die(sim::SimError(sim::SimErrorKind::kInvariantViolation, stem,
                       "emit_sharded: " + std::to_string(units.size()) +

@@ -10,7 +10,6 @@
 #include "bench/bench_util.hpp"
 #include "src/common/table.hpp"
 #include "src/power/model.hpp"
-#include "src/sim/timing.hpp"
 #include "src/workloads/workload.hpp"
 
 namespace {
@@ -31,37 +30,21 @@ Outcome measure(const sim::GpuConfig& proto, double scale) {
   std::uint64_t cycles_sum = 0;
   for (const char* name : kKernels) {
     bench::heartbeat();
-    sim::EventCounters cb, cs;
-    std::uint64_t cyc_b = 0, cyc_s = 0;
-    {
-      workloads::PreparedCase pc = workloads::prepare_case(name, scale);
-      sim::GpuConfig cfg = proto;
-      cfg.st2_enabled = false;
-      sim::TimingSimulator ts(cfg, bench::engine_options());
-      for (const auto& lc : pc.launches) {
-        const sim::RunReport r = ts.run_report(pc.kernel, lc, *pc.mem);
-        cb += r.chip;
-        cyc_b += r.wall_cycles();
-      }
-      cb.cycles = cyc_b;
-    }
-    {
-      workloads::PreparedCase pc = workloads::prepare_case(name, scale);
-      sim::GpuConfig cfg = proto;
-      cfg.st2_enabled = true;
-      sim::TimingSimulator ts(cfg, bench::engine_options());
-      for (const auto& lc : pc.launches) {
-        const sim::RunReport r = ts.run_report(pc.kernel, lc, *pc.mem);
-        cs += r.chip;
-        cyc_s += r.wall_cycles();
-      }
-      cs.cycles = cyc_s;
-    }
+    sim::GpuConfig base_cfg = proto, st2_cfg = proto;
+    base_cfg.st2_enabled = false;
+    st2_cfg.st2_enabled = true;
+    const run::CaseResult base =
+        bench::run_kernel(name, scale, {base_cfg, bench::engine_options()});
+    const run::CaseResult st2_run =
+        bench::run_kernel(name, scale, {st2_cfg, bench::engine_options()});
+    sim::EventCounters cb = base.counters, cs = st2_run.counters;
+    cb.cycles = base.cycles;
+    cs.cycles = st2_run.cycles;
     const auto eb = pm.energy(cb, false);
     const auto es = pm.energy(cs, true);
     save_sum += 1.0 - es.chip() / eb.chip();
-    slow_sum += double(cyc_s) / double(cyc_b) - 1.0;
-    cycles_sum += cyc_b;
+    slow_sum += double(st2_run.cycles) / double(base.cycles) - 1.0;
+    cycles_sum += base.cycles;
   }
   return {save_sum / 5, slow_sum / 5, cycles_sum};
 }

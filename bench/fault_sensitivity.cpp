@@ -16,7 +16,6 @@
 #include "src/common/table.hpp"
 #include "src/fault/fault.hpp"
 #include "src/power/model.hpp"
-#include "src/sim/timing.hpp"
 #include "src/workloads/workload.hpp"
 
 namespace {
@@ -31,23 +30,19 @@ struct RunResult {
   double energy = 0;
 };
 
-RunResult run(const std::string& kernel, double scale,
-              const fault::FaultConfig& inject) {
+RunResult simulate(const std::string& kernel, double scale,
+                   const fault::FaultConfig& inject) {
   bench::heartbeat();
-  workloads::PreparedCase pc = workloads::prepare_case(kernel, scale);
   sim::GpuConfig cfg = sim::GpuConfig::st2();
   cfg.inject = inject;
   // The fault config only perturbs replay, never the captured streams, so
   // all 5 rates of a kernel replay one cached capture.
-  sim::TimingSimulator ts(cfg, bench::engine_options());
-  sim::EventCounters c;
+  const run::CaseResult res =
+      bench::run_kernel(kernel, scale, {cfg, bench::engine_options()});
+  const sim::EventCounters& c = res.counters;
   RunResult r;
-  for (const auto& lc : pc.launches) {
-    const sim::RunReport rep = ts.run_report(pc.kernel, lc, *pc.mem);
-    c += rep.chip;
-    r.cycles += rep.wall_cycles();
-  }
-  r.valid = pc.validate(*pc.mem);
+  r.cycles = res.cycles;
+  r.valid = res.valid;
   r.faults = c.faults_crf_flips + c.faults_hist_flips +
              c.faults_forced_mispredicts + c.faults_masked_repairs;
   r.extra_repairs = c.faults_extra_repairs;
@@ -77,13 +72,13 @@ int main() {
   for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
     if (!bench::shard_owns(static_cast<int>(ki))) continue;
     const std::string& k = kernels[ki];
-    const RunResult clean = run(k, scale, fault::FaultConfig{});
+    const RunResult clean = simulate(k, scale, fault::FaultConfig{});
     for (const double rate : rates) {
       fault::FaultConfig inject;
       inject.crf = rate;
       inject.hist = rate;
       inject.detect = rate;
-      const RunResult r = run(k, scale, inject);
+      const RunResult r = simulate(k, scale, inject);
       t.row({k, Table::num(rate, 4), std::to_string(r.faults),
              std::to_string(r.extra_repairs),
              Table::pct(rel(double(r.cycles), double(clean.cycles))),

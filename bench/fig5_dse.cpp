@@ -19,7 +19,6 @@
 #include "src/common/table.hpp"
 #include "src/power/model.hpp"
 #include "src/sim/spec_harness.hpp"
-#include "src/sim/timing.hpp"
 #include "src/sim/trace_run.hpp"
 #include "src/spec/policy.hpp"
 #include "src/workloads/workload.hpp"
@@ -148,33 +147,21 @@ int main() {
     for (const auto& info : workloads::case_list()) {
       // Baseline reference for this workload (fig7_energy's pattern).
       bench::heartbeat();
-      workloads::PreparedCase bpc = workloads::prepare_case(info.name, scale);
-      sim::TimingSimulator bsim(sim::GpuConfig::baseline());
-      sim::EventCounters cb;
-      std::uint64_t bcycles = 0;
-      for (const auto& lc : bpc.launches) {
-        const sim::RunReport r = bsim.run_report(bpc.kernel, lc, *bpc.mem);
-        cb += r.chip;
-        bcycles += r.wall_cycles();
-      }
-      cb.cycles = bcycles;
+      const run::CaseResult base =
+          bench::run_kernel(info.name, scale, {sim::GpuConfig::baseline()});
+      sim::EventCounters cb = base.counters;
+      cb.cycles = base.cycles;
       const power::EnergyBreakdown eb = pm.energy(cb, /*st2=*/false);
 
       for (int p = 0; p < 4; ++p) {
         if (!need_policy[static_cast<std::size_t>(p)]) continue;
         bench::heartbeat();
-        workloads::PreparedCase pc = workloads::prepare_case(info.name, scale);
         sim::GpuConfig cfg = sim::GpuConfig::st2();
         cfg.predictor = spec::PredictorConfig::parse(zoo[p].policy);
-        sim::TimingSimulator ssim(cfg);
-        sim::EventCounters cs;
-        std::uint64_t scycles = 0;
-        for (const auto& lc : pc.launches) {
-          const sim::RunReport r = ssim.run_report(pc.kernel, lc, *pc.mem);
-          cs += r.chip;
-          scycles += r.wall_cycles();
-        }
-        cs.cycles = scycles;
+        const run::CaseResult st2_run =
+            bench::run_kernel(info.name, scale, {cfg});
+        sim::EventCounters cs = st2_run.counters;
+        cs.cycles = st2_run.cycles;
         power::EnergyBreakdown es = pm.energy(cs, /*st2=*/true);
         // First-order storage model: the per-read table energy tracks the
         // policy's state size relative to the CRF's 448 B/SM, on top of the
@@ -185,8 +172,9 @@ int main() {
             (bytes / 448.0 - 1.0) * pm.coefficients().crf_row_read *
             static_cast<double>(cs.crf_row_reads);
         const double mis = cs.adder_misprediction_rate();
-        const double slow =
-            static_cast<double>(scycles) / static_cast<double>(bcycles) - 1.0;
+        const double slow = static_cast<double>(st2_run.cycles) /
+                                static_cast<double>(base.cycles) -
+                            1.0;
         agg[p].mis += mis;
         agg[p].slow += slow;
         agg[p].sys += 1.0 - es.total() / eb.total();

@@ -6,7 +6,6 @@
 
 #include "bench/bench_util.hpp"
 #include "src/common/table.hpp"
-#include "src/sim/timing.hpp"
 #include "src/workloads/workload.hpp"
 
 int main() {
@@ -21,12 +20,8 @@ int main() {
   double max_rps = 0.0;
   int n = 0;
   for (const auto& info : workloads::case_list()) {
-    workloads::PreparedCase pc = workloads::prepare_case(info.name, scale);
-    sim::TimingSimulator sim(sim::GpuConfig::st2());
-    sim::EventCounters c;
-    for (const auto& lc : pc.launches) {
-      c += sim.run_report(pc.kernel, lc, *pc.mem).chip;
-    }
+    const sim::EventCounters c =
+        bench::run_kernel(info.name, scale, {sim::GpuConfig::st2()}).counters;
     const double rate = c.adder_misprediction_rate();
     const double rps = c.slices_recomputed_per_misprediction();
     sum_rate += rate;

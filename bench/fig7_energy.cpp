@@ -10,7 +10,6 @@
 #include "bench/bench_util.hpp"
 #include "src/common/table.hpp"
 #include "src/power/model.hpp"
-#include "src/sim/timing.hpp"
 #include "src/workloads/workload.hpp"
 
 int main() {
@@ -30,34 +29,20 @@ int main() {
   double hi_sys = 0, hi_chip = 0;
   int n = 0, hi_n = 0;
   for (const auto& info : workloads::case_list()) {
-    workloads::PreparedCase base_pc = workloads::prepare_case(info.name, scale);
-    sim::TimingSimulator base_sim(sim::GpuConfig::baseline());
-    sim::EventCounters cb;
-    std::uint64_t base_cycles = 0;
-    for (const auto& lc : base_pc.launches) {
-      const sim::RunReport r = base_sim.run_report(base_pc.kernel, lc,
-                                                   *base_pc.mem);
-      cb += r.chip;
-      base_cycles += r.wall_cycles();
-    }
-    workloads::PreparedCase st2_pc = workloads::prepare_case(info.name, scale);
-    sim::TimingSimulator st2_sim(sim::GpuConfig::st2());
-    sim::EventCounters cs;
-    std::uint64_t st2_cycles = 0;
-    for (const auto& lc : st2_pc.launches) {
-      const sim::RunReport r = st2_sim.run_report(st2_pc.kernel, lc,
-                                                  *st2_pc.mem);
-      cs += r.chip;
-      st2_cycles += r.wall_cycles();
-    }
-    cb.cycles = base_cycles;
-    cs.cycles = st2_cycles;
+    const run::CaseResult base =
+        bench::run_kernel(info.name, scale, {sim::GpuConfig::baseline()});
+    const run::CaseResult st2_run =
+        bench::run_kernel(info.name, scale, {sim::GpuConfig::st2()});
+    sim::EventCounters cb = base.counters, cs = st2_run.counters;
+    cb.cycles = base.cycles;
+    cs.cycles = st2_run.cycles;
 
     const power::EnergyBreakdown eb = pm.energy(cb, /*st2=*/false);
     const power::EnergyBreakdown es = pm.energy(cs, /*st2=*/true);
     const double sys_save = 1.0 - es.total() / eb.total();
     const double chip_save = 1.0 - es.chip() / eb.chip();
-    const double slowdown = double(st2_cycles) / double(base_cycles) - 1.0;
+    const double slowdown =
+        double(st2_run.cycles) / double(base.cycles) - 1.0;
     const double alu_share =
         eb[power::Component::kAluFpu] / eb.total();
 

@@ -14,7 +14,6 @@
 
 #include "bench/bench_util.hpp"
 #include "src/common/table.hpp"
-#include "src/sim/timing.hpp"
 #include "src/workloads/workload.hpp"
 
 namespace {
@@ -37,16 +36,10 @@ int main() {
   double st2_sum = 0;
   int n = 0;
   for (const auto& info : workloads::case_list()) {
-    workloads::PreparedCase pc = workloads::prepare_case(info.name, scale);
-    sim::GpuConfig cfg = sim::GpuConfig::st2();
-    sim::TimingSimulator ts(cfg);
-    sim::EventCounters c;
-    std::uint64_t cycles = 0;
-    for (const auto& lc : pc.launches) {
-      const sim::RunReport r = ts.run_report(pc.kernel, lc, *pc.mem);
-      c += r.chip;
-      cycles += r.wall_cycles();
-    }
+    const sim::GpuConfig cfg = sim::GpuConfig::st2();
+    const run::CaseResult res = bench::run_kernel(info.name, scale, {cfg});
+    const sim::EventCounters& c = res.counters;
+    const std::uint64_t cycles = res.cycles;
     // Denominator: scheduler-cycles of the SMs that had work (idle SMs never
     // enter the attribution, matching the per-SM invariant).
     const std::uint64_t sched_cycles =

@@ -11,7 +11,6 @@
 #include "src/power/calibrate.hpp"
 #include "src/power/model.hpp"
 #include "src/power/stressors.hpp"
-#include "src/sim/timing.hpp"
 #include "src/workloads/workload.hpp"
 
 int main() {
@@ -43,15 +42,9 @@ int main() {
   // Validation set: the 23 evaluation kernels (never seen in training).
   std::vector<power::Observation> held_out;
   for (const auto& info : workloads::case_list()) {
-    workloads::PreparedCase pc = workloads::prepare_case(info.name, scale);
-    sim::TimingSimulator sim(cfg);
-    sim::EventCounters c;
-    std::uint64_t cycles = 0;
-    for (const auto& lc : pc.launches) {
-      const sim::RunReport r = sim.run_report(pc.kernel, lc, *pc.mem);
-      c += r.chip;
-      cycles += r.wall_cycles();
-    }
+    const run::CaseResult res = bench::run_kernel(info.name, scale, {cfg});
+    const std::uint64_t cycles = res.cycles;
+    sim::EventCounters c = res.counters;
     c.cycles = cycles;
     power::Observation o;
     o.component_energy = pm.energy(c, false).by_component;

@@ -9,7 +9,6 @@
 #include "bench/bench_util.hpp"
 #include "src/circuit/voltage.hpp"
 #include "src/common/table.hpp"
-#include "src/sim/timing.hpp"
 #include "src/spec/crf.hpp"
 #include "src/workloads/workload.hpp"
 
@@ -69,12 +68,8 @@ int main() {
   double sum_conf = 0;
   int n = 0;
   for (const auto& info : workloads::case_list()) {
-    workloads::PreparedCase pc = workloads::prepare_case(info.name, scale);
-    sim::TimingSimulator sim(sim::GpuConfig::st2());
-    sim::EventCounters cnt;
-    for (const auto& lc : pc.launches) {
-      cnt += sim.run_report(pc.kernel, lc, *pc.mem).chip;
-    }
+    const sim::EventCounters cnt =
+        bench::run_kernel(info.name, scale, {sim::GpuConfig::st2()}).counters;
     const double rate =
         cnt.crf_writes ? double(cnt.crf_write_conflicts) / cnt.crf_writes
                        : 0.0;

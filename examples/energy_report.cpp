@@ -9,7 +9,7 @@
 #include <string>
 
 #include "src/power/model.hpp"
-#include "src/sim/timing.hpp"
+#include "src/run/run.hpp"
 #include "src/workloads/workload.hpp"
 
 int main(int argc, char** argv) {
@@ -18,22 +18,17 @@ int main(int argc, char** argv) {
   const double scale = argc > 2 ? std::atof(argv[2]) : 0.5;
   const power::PowerModel pm;
 
-  auto run = [&](const sim::GpuConfig& cfg, sim::EventCounters* out) {
+  auto simulate = [&](const sim::GpuConfig& cfg, sim::EventCounters* out) {
     workloads::PreparedCase pc = workloads::prepare_case(name, scale);
-    sim::TimingSimulator sim(cfg);
-    std::uint64_t cycles = 0;
-    for (const auto& lc : pc.launches) {
-      const auto r = sim.run(pc.kernel, lc, *pc.mem);
-      *out += r.counters;
-      cycles += r.counters.cycles;
-    }
-    out->cycles = cycles;
-    return pc.validate(*pc.mem);
+    const run::CaseResult res = run::run_case({cfg}, pc);
+    *out = res.counters;
+    out->cycles = res.cycles;
+    return res.valid;
   };
 
   sim::EventCounters cb, cs;
-  const bool ok_b = run(sim::GpuConfig::baseline(), &cb);
-  const bool ok_s = run(sim::GpuConfig::st2(), &cs);
+  const bool ok_b = simulate(sim::GpuConfig::baseline(), &cb);
+  const bool ok_s = simulate(sim::GpuConfig::st2(), &cs);
   if (!ok_b || !ok_s) {
     std::puts("validation FAILED");
     return 1;

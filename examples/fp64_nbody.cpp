@@ -15,7 +15,7 @@
 #include "src/common/rng.hpp"
 #include "src/isa/builder.hpp"
 #include "src/power/model.hpp"
-#include "src/sim/timing.hpp"
+#include "src/sim/engine.hpp"
 
 int main() {
   using namespace st2;
@@ -90,10 +90,9 @@ int main() {
     const sim::LaunchConfig lc = sim::launch_1d(
         kBodies, 128,
         {d_px, d_py, d_m, d_ax, d_ay, static_cast<std::uint64_t>(kBodies)});
-    sim::TimingSimulator sim(cfg);
-    const auto r = sim.run(kernel, lc, mem);
-    *out += r.counters;
-    out->cycles = r.counters.cycles;
+    const sim::RunReport r = sim::ExecutionEngine(cfg).run(kernel, lc, mem);
+    *out += r.chip;
+    out->cycles = r.chip.cycles;
     result->resize(kBodies);
     mem.read<double>(d_ax, *result);
     return r.misprediction_rate;

@@ -12,7 +12,7 @@
 
 #include "src/common/rng.hpp"
 #include "src/isa/builder.hpp"
-#include "src/sim/timing.hpp"
+#include "src/sim/engine.hpp"
 
 int main() {
   using namespace st2;
@@ -72,16 +72,15 @@ int main() {
         kN / kStripe, 256,
         {dx, dy, dp,
          static_cast<std::uint64_t>(std::bit_cast<std::uint32_t>(alpha))});
-    sim::TimingSimulator sim(cfg);
-    const sim::TimingResult r = sim.run(kernel, lc, mem);
+    const sim::RunReport r = sim::ExecutionEngine(cfg).run(kernel, lc, mem);
     std::printf("%-8s cycles=%8llu  IPC/SM=%.2f  mispred=%.2f%%  "
                 "CRF rows read=%llu\n",
-                label, static_cast<unsigned long long>(r.counters.cycles),
-                double(r.counters.warp_instructions) /
-                    double(r.counters.cycles) / cfg.num_sms,
+                label, static_cast<unsigned long long>(r.chip.cycles),
+                double(r.chip.warp_instructions) /
+                    double(r.chip.cycles) / cfg.num_sms,
                 100.0 * r.misprediction_rate,
-                static_cast<unsigned long long>(r.counters.crf_row_reads));
-    return r.counters.cycles;
+                static_cast<unsigned long long>(r.chip.crf_row_reads));
+    return r.chip.cycles;
   };
 
   const std::uint64_t c0 = run(sim::GpuConfig::baseline(), "baseline");

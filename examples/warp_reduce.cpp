@@ -10,7 +10,7 @@
 
 #include "src/common/rng.hpp"
 #include "src/isa/builder.hpp"
-#include "src/sim/timing.hpp"
+#include "src/sim/engine.hpp"
 
 int main() {
   using namespace st2;
@@ -85,13 +85,12 @@ int main() {
     const sim::LaunchConfig lc = sim::launch_1d(
         64 * kBlock, kBlock,
         {d_data, d_res, static_cast<std::uint64_t>(kN)});
-    sim::TimingSimulator sim(cfg);
-    const auto r = sim.run(kernel, lc, mem);
+    const sim::RunReport r = sim::ExecutionEngine(cfg).run(kernel, lc, mem);
     const auto got = mem.read_one<std::int64_t>(d_res);
     std::printf("%-8s sum=%lld (%s)  cycles=%llu  mispred=%.2f%%\n", label,
                 static_cast<long long>(got),
                 got == expect ? "exact" : "WRONG",
-                static_cast<unsigned long long>(r.counters.cycles),
+                static_cast<unsigned long long>(r.chip.cycles),
                 100.0 * r.misprediction_rate);
     return got == expect;
   };

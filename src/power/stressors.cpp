@@ -6,9 +6,9 @@
 #include "src/common/contracts.hpp"
 #include "src/common/rng.hpp"
 #include "src/isa/builder.hpp"
+#include "src/sim/engine.hpp"
 #include "src/sim/launch.hpp"
 #include "src/sim/memory.hpp"
-#include "src/sim/timing.hpp"
 
 namespace st2::power {
 
@@ -233,15 +233,14 @@ std::array<double, kNumComponents> run_stressor(const StressorSpec& spec,
   const sim::LaunchConfig lc = sim::launch_1d(
       total_threads, 128, {data, out, static_cast<std::uint64_t>(n)});
 
-  sim::TimingSimulator sim(cfg);
-  const sim::TimingResult res = sim.run(kernel, lc, gmem);
+  const sim::RunReport res = sim::ExecutionEngine(cfg).run(kernel, lc, gmem);
 
   // Unscaled component *powers* (energy per cycle): the paper calibrates
   // against NVML power samples, whose narrow dynamic range is what makes its
   // Pearson-r statistic meaningful.
   PowerModel unit(pm.coefficients());
-  auto comps = unit.energy(res.counters, cfg.st2_enabled).by_component;
-  const double cycles = std::max<double>(1.0, double(res.counters.cycles));
+  auto comps = unit.energy(res.chip, cfg.st2_enabled).by_component;
+  const double cycles = std::max<double>(1.0, double(res.chip.cycles));
   for (double& c : comps) c /= cycles;
   return comps;
 }

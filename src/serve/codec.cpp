@@ -212,7 +212,7 @@ RunRequest parse_request(std::string_view line) {
   const std::map<std::string, Scalar> obj = FlatObjectParser(line).parse();
   RunRequest req;
   bool have_kernel = false;
-  std::uint64_t inject_seed = req.inject.seed;
+  std::uint64_t inject_seed = req.spec.inject.seed;
   std::string inject_spec;
   std::string spec_policy;
   for (const auto& [key, v] : obj) {
@@ -228,20 +228,20 @@ RunRequest parse_request(std::string_view line) {
         bad("field 'id' must be a string or number");
       }
     } else if (key == "kernel") {
-      req.kernel = want(v, Scalar::Kind::kString, "kernel").str;
+      req.spec.kernel = want(v, Scalar::Kind::kString, "kernel").str;
       have_kernel = true;
     } else if (key == "scale") {
-      req.scale = want(v, Scalar::Kind::kNumber, "scale").num;
+      req.spec.scale = want(v, Scalar::Kind::kNumber, "scale").num;
     } else if (key == "st2") {
-      req.st2 = want(v, Scalar::Kind::kBool, "st2").boolean;
+      req.spec.st2 = want(v, Scalar::Kind::kBool, "st2").boolean;
     } else if (key == "lrr") {
-      req.lrr = want(v, Scalar::Kind::kBool, "lrr").boolean;
+      req.spec.lrr = want(v, Scalar::Kind::kBool, "lrr").boolean;
     } else if (key == "sms") {
-      req.sms = want_int(v, "sms");
+      req.spec.sms = want_int(v, "sms");
     } else if (key == "jobs") {
-      req.jobs = want_int(v, "jobs");
+      req.spec.jobs = want_int(v, "jobs");
     } else if (key == "max_warps") {
-      req.max_warps = want_int(v, "max_warps");
+      req.spec.max_warps = want_int(v, "max_warps");
     } else if (key == "spec_policy") {
       spec_policy = want(v, Scalar::Kind::kString, "spec_policy").str;
     } else if (key == "inject") {
@@ -249,36 +249,31 @@ RunRequest parse_request(std::string_view line) {
     } else if (key == "inject_seed") {
       inject_seed = want_u64(v, "inject_seed");
     } else if (key == "watchdog_cycles") {
-      req.watchdog_cycles = want_u64(v, "watchdog_cycles");
+      req.spec.watchdog_cycles = want_u64(v, "watchdog_cycles");
     } else if (key == "watchdog_ms") {
-      req.watchdog_ms = want_u64(v, "watchdog_ms");
+      req.spec.watchdog_ms = want_u64(v, "watchdog_ms");
     } else {
       bad("unknown request field '" + key + "'");
     }
   }
-  if (!have_kernel || req.kernel.empty()) {
+  if (!have_kernel || req.spec.kernel.empty()) {
     bad("missing required field 'kernel'");
   }
   if (!inject_spec.empty()) {
     try {
-      req.inject = fault::FaultConfig::parse(inject_spec);
+      req.spec.inject = fault::FaultConfig::parse(inject_spec);
     } catch (const std::invalid_argument& e) {
       bad(e.what());
     }
   }
   if (!spec_policy.empty()) {
     try {
-      req.spec_policy = spec::PredictorConfig::parse(spec_policy);
+      req.spec.spec_policy = spec::PredictorConfig::parse(spec_policy);
     } catch (const std::invalid_argument& e) {
       bad(e.what());
     }
   }
-  req.inject.seed = inject_seed;
-  if (!(req.scale > 0) || req.scale > 4.0) {
-    bad("field 'scale' must be in (0, 4]");
-  }
-  if (req.sms < 1) bad("field 'sms' must be >= 1");
-  if (req.max_warps < 0) bad("field 'max_warps' must be >= 0");
+  req.spec.inject.seed = inject_seed;
   return req;
 }
 

@@ -6,9 +6,12 @@
 //    "sms": 4, "jobs": 1, "inject": "crf:1e-3", "inject_seed": 7,
 //    "watchdog_cycles": 0, "watchdog_ms": 0, "lrr": false, "max_warps": 0}
 //
-// `kernel` is required; everything else defaults to the CLI's defaults.
-// Unknown fields are rejected (a typo'd option must never silently fall
-// back to a default), as are nested objects/arrays and trailing bytes.
+// `kernel` is required; everything else takes run::RunSpec's defaults,
+// which the CLI shares. Unknown fields are rejected (a typo'd option must
+// never silently fall back to a default), as are nested objects/arrays and
+// trailing bytes. The option rules (scale range, "inject needs st2", ...)
+// are RunSpec::validate's, checked when the request runs — so a request
+// that decodes but breaks a rule is answered under its own id.
 //
 // Responses are one envelope line followed by exactly `body_bytes` raw
 // bytes of report JSON (the body is the one-shot CLI's `--json` document,
@@ -31,7 +34,7 @@ namespace st2::serve {
 
 /// Strict decode of one request line. Throws SimError(kBadArguments) with a
 /// one-line message on any malformed input: non-object lines, unknown or
-/// wrongly-typed fields, non-integral counts, bad --inject specs.
+/// wrongly-typed fields, non-integral counts, bad inject/spec_policy specs.
 RunRequest parse_request(std::string_view line);
 
 /// JSON string escaping for envelope fields (quotes, backslashes, control

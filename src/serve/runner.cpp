@@ -1,52 +1,27 @@
 #include "src/serve/runner.hpp"
 
-#include <stdexcept>
 #include <vector>
 
-#include "src/sim/engine.hpp"
 #include "src/sim/error.hpp"
-#include "src/sim/jobs.hpp"
-#include "src/sim/report.hpp"
 #include "src/workloads/workload.hpp"
 
 namespace st2::serve {
 
 namespace {
 
-/// Runs one kernel of a request and appends its launch reports. Returns the
-/// exit code the CLI's run_one would (0 ok, 1 validation failed, 4 watchdog
-/// aborted); SimErrors propagate to the caller for classification.
-int run_kernel(const RunRequest& req, const std::string& name, int jobs,
-               std::uint64_t watchdog_ms, tracecache::TraceCache* cache,
+/// Runs one kernel of a request and appends its launch reports; returns the
+/// kernel's exit code. SimErrors propagate to the caller for classification.
+int run_kernel(const run::RunSpec& spec, const std::string& name,
+               tracecache::TraceCache* cache,
                std::vector<std::string>* json_reports) {
-  workloads::PreparedCase pc = workloads::prepare_case(name, req.scale);
-  sim::GpuConfig cfg =
-      req.st2 ? sim::GpuConfig::st2() : sim::GpuConfig::baseline();
-  cfg.num_sms = req.sms;
-  if (req.lrr) cfg.scheduler = sim::WarpScheduler::kLrr;
-  if (req.max_warps > 0) cfg.max_warps_per_sm = req.max_warps;
-  cfg.inject = req.inject;
-  cfg.predictor = req.spec_policy;
-  sim::EngineOptions eopts;
-  eopts.jobs = jobs;
-  eopts.watchdog_cycles = req.watchdog_cycles;
-  eopts.watchdog_ms = watchdog_ms;
-  sim::ExecutionEngine eng(cfg, eopts);
-  bool aborted = false;
-  for (std::size_t li = 0; li < pc.launches.size(); ++li) {
-    const sim::GridCapture cap =
-        cache != nullptr
-            ? cache->provide(cfg, pc.kernel, pc.launches[li], *pc.mem)
-            : sim::capture_grid(cfg, pc.kernel, pc.launches[li], *pc.mem);
-    const sim::RunReport r = eng.replay(pc.kernel, cap);
+  workloads::PreparedCase pc = workloads::prepare_case(name, spec.scale);
+  run::Machine m = spec.machine();
+  m.opts.capture_provider = cache;
+  run::LaunchHooks hooks;
+  hooks.on_report = [&](std::size_t li, sim::RunReport& r) {
     json_reports->push_back(r.to_json(name, static_cast<int>(li)));
-    if (r.aborted()) {
-      aborted = true;
-      break;  // remaining launches would run on inconsistent timing state
-    }
-  }
-  if (aborted) return sim::kExitWatchdogAborted;
-  return pc.validate(*pc.mem) ? sim::kExitOk : sim::kExitValidationFailed;
+  };
+  return run::run_case(m, pc, hooks).exit_code();
 }
 
 }  // namespace
@@ -56,72 +31,26 @@ RunResult execute_request(const RunRequest& req,
                           std::uint64_t default_watchdog_ms) {
   RunResult res;
   try {
-    if (req.inject.enabled() && !req.st2) {
-      throw sim::SimError(sim::SimErrorKind::kBadArguments, "request",
-                          "'inject' targets the ST2 speculation state; set "
-                          "\"st2\": true");
-    }
-    if (req.spec_policy.kind != spec::PredictorKind::kCrf && !req.st2) {
-      throw sim::SimError(sim::SimErrorKind::kBadArguments, "request",
-                          "'spec_policy' selects the ST2 carry predictor; "
-                          "set \"st2\": true");
-    }
-    // Same validation as the CLI's --jobs: a daemon must never spawn an
-    // unbounded replay fan-out because a client asked for one.
-    const int jobs = sim::validate_thread_count(req.jobs, "jobs");
+    run::RunSpec spec = req.spec;
+    spec.validate();
     // Isolation backstop: a request with no watchdog of its own gets the
     // server's default wall deadline, so one runaway simulation cannot pin
     // a worker forever.
-    const std::uint64_t watchdog_ms =
-        (req.watchdog_ms == 0 && req.watchdog_cycles == 0)
-            ? default_watchdog_ms
-            : req.watchdog_ms;
+    if (spec.watchdog_ms == 0 && spec.watchdog_cycles == 0) {
+      spec.watchdog_ms = default_watchdog_ms;
+    }
     std::vector<std::string> json_reports;
-    int rc = sim::kExitOk;
-    if (req.kernel == "all") {
-      for (const workloads::CaseInfo& info : workloads::case_list()) {
-        // Mirrors the CLI sweep's per-kernel guard: one kernel's failure
-        // degrades the sticky exit code but never stops the sweep.
-        int code;
-        try {
-          code = run_kernel(req, info.name, jobs, watchdog_ms, cache,
-                            &json_reports);
-        } catch (const sim::SimError& e) {
-          code = sim::exit_code(e.kind());
-        } catch (const std::invalid_argument&) {
-          code = sim::kExitBadArguments;
-        } catch (const std::exception&) {
-          code = sim::kExitInvariantViolation;
-        }
-        if (rc == sim::kExitOk) rc = code;
-      }
-    } else {
-      rc = run_kernel(req, req.kernel, jobs, watchdog_ms, cache,
-                      &json_reports);
-    }
-    // Byte-for-byte the document the CLI's --json writer assembles.
-    std::string doc = "[";
-    for (std::size_t i = 0; i < json_reports.size(); ++i) {
-      doc += (i ? ",\n" : "\n") + json_reports[i];
-    }
-    doc += "\n]\n";
-    res.exit_code = rc;
-    res.report = std::move(doc);
-  } catch (const sim::SimError& e) {
+    const auto kernel = [&](const std::string& name, std::uint32_t, int) {
+      return run_kernel(spec, name, cache, &json_reports);
+    };
+    res.exit_code =
+        spec.kernel == "all" ? run::run_all(kernel) : kernel(spec.kernel, 0, 0);
+    res.report = run::json_array(json_reports);
+  } catch (const std::exception&) {
+    const sim::SimError e = run::current_error();
     res.exit_code = sim::exit_code(e.kind());
     res.error_kind = sim::to_string(e.kind());
     res.error_message = e.what();
-    res.report.clear();
-  } catch (const std::invalid_argument& e) {
-    res.exit_code = sim::kExitBadArguments;
-    res.error_kind = "bad-arguments";
-    res.error_message = e.what();
-    res.report.clear();
-  } catch (const std::exception& e) {
-    res.exit_code = sim::kExitInvariantViolation;
-    res.error_kind = "invariant-violation";
-    res.error_message = e.what();
-    res.report.clear();
   }
   return res;
 }

@@ -1,42 +1,30 @@
 // Request execution for serve mode: one RunRequest in, one RunResult out.
 //
 // The runner is the daemon's unit of isolation. Every request constructs
-// fresh state end to end — PreparedCase (inputs + device memory),
-// ExecutionEngine, counters — exactly like a one-shot `st2sim run`
-// invocation, so nothing a request does can leak into the next one. The
-// single shared object is the (thread-safe) trace cache, whose contract
+// fresh state end to end — PreparedCase (inputs + device memory), engine,
+// counters — through the same run path as a one-shot `st2sim run`
+// (src/run/run.hpp), so nothing a request does can leak into the next one.
+// The single shared object is the (thread-safe) trace cache, whose contract
 // guarantees byte-identical captures with or without a hit.
 //
 // The report document in RunResult::report is byte-for-byte the file a
 // one-shot `st2sim run <kernel> ... --json FILE` invocation writes (without
 // `--trace-cache`/`--profile`, whose stats elements are per-process, not
-// per-request) — the bit-identity contract the serve load harness checks.
+// per-request).
 #pragma once
 
 #include <cstdint>
 #include <string>
 
-#include "src/fault/fault.hpp"
-#include "src/spec/policy.hpp"
+#include "src/run/run.hpp"
 #include "src/tracecache/tracecache.hpp"
 
 namespace st2::serve {
 
-/// One simulation request, decoded from a NDJSON line (codec.hpp). Field
-/// defaults mirror the CLI's.
+/// One simulation request, decoded from a NDJSON line (codec.hpp).
 struct RunRequest {
-  std::string id;       ///< echoed back in the response envelope
-  std::string kernel;   ///< kernel name or "all" (required)
-  double scale = 0.5;
-  bool st2 = false;
-  bool lrr = false;
-  int sms = 20;
-  int jobs = 1;
-  int max_warps = 0;
-  spec::PredictorConfig spec_policy;  ///< carry-predictor policy (st2 only)
-  fault::FaultConfig inject;
-  std::uint64_t watchdog_cycles = 0;
-  std::uint64_t watchdog_ms = 0;
+  std::string id;      ///< echoed back in the response envelope
+  run::RunSpec spec;   ///< spec.kernel is required
 };
 
 /// Outcome of one request. `exit_code` carries the same value the one-shot
@@ -49,11 +37,11 @@ struct RunResult {
   std::string error_message;  ///< one-line diagnostic for the envelope
 };
 
-/// Validates and runs one request. Never throws: every failure — bad
-/// request fields, unknown kernels, inadmissible launches, internal
-/// invariant violations — is classified through the SimError taxonomy into
-/// the result, so a request failure is a JSON error response upstream,
-/// never a daemon death. `cache` may be null (no capture sharing);
+/// Validates (RunSpec::validate) and runs one request. Never throws: every
+/// failure — broken option rules, unknown kernels, inadmissible launches,
+/// internal invariant violations — is classified through the SimError
+/// taxonomy into the result, so a request failure is a JSON error response
+/// upstream, never a daemon death. `cache` may be null (no capture sharing);
 /// `default_watchdog_ms` applies to requests that set no watchdog of their
 /// own.
 RunResult execute_request(const RunRequest& req,

@@ -498,14 +498,18 @@ RunReport ExecutionEngine::replay(const isa::Kernel& kernel,
                            cfg_.timeline_bucket);
 }
 
+GridCapture ExecutionEngine::capture(const isa::Kernel& kernel,
+                                     const LaunchConfig& launch,
+                                     GlobalMemory& gmem) {
+  return opts_.capture_provider != nullptr
+             ? opts_.capture_provider->provide(cfg_, kernel, launch, gmem)
+             : capture_grid(cfg_, kernel, launch, gmem);
+}
+
 RunReport ExecutionEngine::run(const isa::Kernel& kernel,
                                const LaunchConfig& launch,
                                GlobalMemory& gmem) {
-  const GridCapture cap =
-      opts_.capture_provider != nullptr
-          ? opts_.capture_provider->provide(cfg_, kernel, launch, gmem)
-          : capture_grid(cfg_, kernel, launch, gmem);
-  return replay(kernel, cap);
+  return replay(kernel, capture(kernel, launch, gmem));
 }
 
 }  // namespace st2::sim

@@ -130,6 +130,11 @@ class ExecutionEngine {
   RunReport run(const isa::Kernel& kernel, const LaunchConfig& launch,
                 GlobalMemory& gmem);
 
+  /// Phase 1 alone: the capture from the configured provider, or from
+  /// `capture_grid` when there is none.
+  GridCapture capture(const isa::Kernel& kernel, const LaunchConfig& launch,
+                      GlobalMemory& gmem);
+
   /// Replays an existing capture (capture once, replay many — e.g. the same
   /// value stream under different machine configs).
   RunReport replay(const isa::Kernel& kernel, const GridCapture& capture);

@@ -12,7 +12,6 @@
 
 #include "src/isa/builder.hpp"
 #include "src/sim/engine.hpp"
-#include "src/sim/timing.hpp"
 #include "src/workloads/workload.hpp"
 
 namespace st2::sim {
@@ -180,7 +179,7 @@ TEST(Engine, AtomicsLandExactlyOnceAcrossJobs) {
   for (const int jobs : {1, 4}) {
     GlobalMemory mem;
     const std::uint64_t counter = mem.alloc(8);
-    TimingSimulator ts(chip(4, /*st2=*/false), EngineOptions{jobs});
+    ExecutionEngine ts(chip(4, /*st2=*/false), EngineOptions{jobs});
     ts.run(k, launch_1d(512, 64, {counter}), mem);
     std::vector<std::uint64_t> v(1);
     mem.read<std::uint64_t>(counter, v);
@@ -244,10 +243,10 @@ TEST(Engine, StallBreakdownReconcilesAndIsIdenticalAcrossJobs) {
     int idx = 0;
     for (const int jobs : {1, 4}) {
       workloads::PreparedCase pc = workloads::prepare_case(name, 0.15);
-      TimingSimulator ts(chip(8), EngineOptions{jobs});
+      ExecutionEngine ts(chip(8), EngineOptions{jobs});
       EventCounters c;
       for (const auto& lc : pc.launches) {
-        const RunReport r = ts.run_report(pc.kernel, lc, *pc.mem);
+        const RunReport r = ts.run(pc.kernel, lc, *pc.mem);
         for (const SmReport& s : r.per_sm) {
           EXPECT_EQ(attributed_cycles(s.counters),
                     static_cast<std::uint64_t>(
@@ -270,10 +269,10 @@ TEST(Engine, BarrierAndSt2StallsShowUpWhereExpected) {
   // mispredictions; its breakdown must attribute cycles to both causes, and
   // the memory-latency buckets must cover shared-memory traffic.
   workloads::PreparedCase pc = workloads::prepare_case("pathfinder", 0.15);
-  TimingSimulator ts(chip(8), EngineOptions{2});
+  ExecutionEngine ts(chip(8), EngineOptions{2});
   EventCounters c;
   for (const auto& lc : pc.launches) {
-    c += ts.run_report(pc.kernel, lc, *pc.mem).chip;
+    c += ts.run(pc.kernel, lc, *pc.mem).chip;
   }
   EXPECT_GT(c.stall_barrier_cycles, 0u);
   EXPECT_GT(c.warp_adder_stalls, 0u);
@@ -360,10 +359,10 @@ TEST(Engine, RealWorkloadIdenticalAcrossJobsAndValidates) {
   int idx = 0;
   for (const int jobs : {1, 4}) {
     workloads::PreparedCase pc = workloads::prepare_case("histo_K1", 0.15);
-    TimingSimulator ts(chip(8), EngineOptions{jobs});
+    ExecutionEngine ts(chip(8), EngineOptions{jobs});
     EventCounters c;
     for (const auto& lc : pc.launches) {
-      c += ts.run_report(pc.kernel, lc, *pc.mem).chip;
+      c += ts.run(pc.kernel, lc, *pc.mem).chip;
     }
     EXPECT_TRUE(pc.validate(*pc.mem)) << "jobs=" << jobs;
     totals[idx++] = c;

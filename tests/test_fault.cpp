@@ -10,8 +10,8 @@
 
 #include "src/common/rng.hpp"
 #include "src/fault/fault.hpp"
+#include "src/sim/engine.hpp"
 #include "src/sim/error.hpp"
-#include "src/sim/timing.hpp"
 #include "src/spec/crf.hpp"
 #include "src/workloads/workload.hpp"
 
@@ -138,10 +138,10 @@ CaseResult run_case(const std::string& kernel, const fault::FaultConfig& inject,
   sim::EngineOptions opts;
   opts.jobs = jobs;
   opts.watchdog_cycles = watchdog_cycles;
-  sim::TimingSimulator ts(cfg, opts);
+  sim::ExecutionEngine ts(cfg, opts);
   CaseResult r;
   for (const auto& lc : pc.launches) {
-    const sim::RunReport rep = ts.run_report(pc.kernel, lc, *pc.mem);
+    const sim::RunReport rep = ts.run(pc.kernel, lc, *pc.mem);
     r.chip += rep.chip;
     r.wall_cycles += rep.wall_cycles();
     if (rep.aborted()) {
@@ -257,9 +257,9 @@ TEST(SimErrorTaxonomy, InadmissibleLaunchThrowsTypedError) {
   sim::GpuConfig cfg = sim::GpuConfig::st2();
   cfg.num_sms = 2;
   cfg.max_warps_per_sm = 1;  // the launch's blocks can never fit
-  sim::TimingSimulator ts(cfg);
+  sim::ExecutionEngine ts(cfg);
   try {
-    ts.run_report(pc.kernel, pc.launches.front(), *pc.mem);
+    ts.run(pc.kernel, pc.launches.front(), *pc.mem);
     FAIL() << "expected SimError";
   } catch (const sim::SimError& e) {
     EXPECT_EQ(e.kind(), sim::SimErrorKind::kInadmissibleLaunch);

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "src/power/model.hpp"
+#include "src/sim/engine.hpp"
 #include "src/sim/spec_harness.hpp"
-#include "src/sim/timing.hpp"
 #include "src/sim/trace_run.hpp"
 #include "src/workloads/workload.hpp"
 
@@ -18,7 +18,7 @@ TEST(Integration, St2NeverChangesAnyWorkloadResult) {
     workloads::PreparedCase pc = workloads::prepare_case(info.name, 0.2);
     sim::GpuConfig cfg = sim::GpuConfig::st2();
     cfg.num_sms = 4;
-    sim::TimingSimulator ts(cfg);
+    sim::ExecutionEngine ts(cfg);
     for (const auto& lc : pc.launches) ts.run(pc.kernel, lc, *pc.mem);
     EXPECT_TRUE(pc.validate(*pc.mem)) << info.name;
   }
@@ -30,7 +30,7 @@ TEST(Integration, TimingAndTraceAgreeFunctionally) {
   for (const auto& lc : a.launches) sim::trace_run(a.kernel, lc, *a.mem);
   sim::GpuConfig cfg = sim::GpuConfig::baseline();
   cfg.num_sms = 3;
-  sim::TimingSimulator ts(cfg);
+  sim::ExecutionEngine ts(cfg);
   for (const auto& lc : b.launches) ts.run(b.kernel, lc, *b.mem);
   EXPECT_TRUE(a.validate(*a.mem));
   EXPECT_TRUE(b.validate(*b.mem));
@@ -72,10 +72,10 @@ TEST(Integration, CrfPathTracksIdealizedSpeculator) {
   workloads::PreparedCase t2 = workloads::prepare_case("histo_K1", 0.25);
   sim::GpuConfig cfg = sim::GpuConfig::st2();
   cfg.num_sms = 4;
-  sim::TimingSimulator ts(cfg);
+  sim::ExecutionEngine ts(cfg);
   sim::EventCounters c;
   for (const auto& lc : t2.launches) {
-    c += ts.run(t2.kernel, lc, *t2.mem).counters;
+    c += ts.run(t2.kernel, lc, *t2.mem).chip;
   }
   const double ideal_rate = ideal.op_misprediction_rate();
   const double crf_rate = c.adder_misprediction_rate();
@@ -89,18 +89,18 @@ TEST(Integration, EnergyPipelineProducesSavings) {
   bcfg.num_sms = 4;
   sim::GpuConfig scfg = sim::GpuConfig::st2();
   scfg.num_sms = 4;
-  sim::TimingSimulator tb(bcfg), ts(scfg);
+  sim::ExecutionEngine tb(bcfg), ts(scfg);
   sim::EventCounters cb, cs;
   std::uint64_t cyc_b = 0, cyc_s = 0;
   for (const auto& lc : base_pc.launches) {
     const auto r = tb.run(base_pc.kernel, lc, *base_pc.mem);
-    cb += r.counters;
-    cyc_b += r.counters.cycles;
+    cb += r.chip;
+    cyc_b += r.chip.cycles;
   }
   for (const auto& lc : st2_pc.launches) {
     const auto r = ts.run(st2_pc.kernel, lc, *st2_pc.mem);
-    cs += r.counters;
-    cyc_s += r.counters.cycles;
+    cs += r.chip;
+    cyc_s += r.chip.cycles;
   }
   cb.cycles = cyc_b;
   cs.cycles = cyc_s;
@@ -120,10 +120,10 @@ TEST(Integration, RecomputeCostMatchesPaperScale) {
   workloads::PreparedCase pc = workloads::prepare_case("pathfinder", 0.25);
   sim::GpuConfig cfg = sim::GpuConfig::st2();
   cfg.num_sms = 4;
-  sim::TimingSimulator ts(cfg);
+  sim::ExecutionEngine ts(cfg);
   sim::EventCounters c;
   for (const auto& lc : pc.launches) {
-    c += ts.run(pc.kernel, lc, *pc.mem).counters;
+    c += ts.run(pc.kernel, lc, *pc.mem).chip;
   }
   ASSERT_GT(c.adder_mispredicts, 0u);
   EXPECT_LT(c.slices_recomputed_per_misprediction(), 3.5);

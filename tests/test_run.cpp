@@ -1,0 +1,112 @@
+// RunSpec::validate is the single home of the run-option rules that the
+// CLI (`st2sim run`) and serve requests share. One table row per rule, each
+// next to a boundary value that must still pass; the front ends' own
+// suites (cli_fuzz.sh, test_serve.cpp) check that each surface reaches it.
+#include <cmath>
+#include <functional>
+#include <string>
+
+#include <gtest/gtest.h>
+
+#include "src/run/run.hpp"
+#include "src/sim/error.hpp"
+#include "src/sim/jobs.hpp"
+
+namespace st2::run {
+namespace {
+
+TEST(RunSpec, ValidateEnforcesEveryRule) {
+  struct Case {
+    const char* what;
+    std::function<void(RunSpec&)> mutate;
+    const char* rejected_option;  ///< null = the spec is valid
+  };
+  const Case cases[] = {
+      {"defaults", [](RunSpec&) {}, nullptr},
+      {"scale 0", [](RunSpec& s) { s.scale = 0; }, "scale"},
+      {"scale -1", [](RunSpec& s) { s.scale = -1; }, "scale"},
+      {"scale above 4", [](RunSpec& s) { s.scale = 4.5; }, "scale"},
+      {"scale NaN", [](RunSpec& s) { s.scale = std::nan(""); }, "scale"},
+      {"scale 4", [](RunSpec& s) { s.scale = 4; }, nullptr},
+      {"sms 0", [](RunSpec& s) { s.sms = 0; }, "sms"},
+      {"sms 1", [](RunSpec& s) { s.sms = 1; }, nullptr},
+      {"max_warps -1", [](RunSpec& s) { s.max_warps = -1; }, "max_warps"},
+      {"max_warps 0", [](RunSpec& s) { s.max_warps = 0; }, nullptr},
+      {"jobs 0", [](RunSpec& s) { s.jobs = 0; }, "jobs"},
+      {"jobs -2", [](RunSpec& s) { s.jobs = -2; }, "jobs"},
+      {"inject without st2",
+       [](RunSpec& s) { s.inject = fault::FaultConfig::parse("crf:1e-3"); },
+       "inject"},
+      {"inject with st2",
+       [](RunSpec& s) {
+         s.inject = fault::FaultConfig::parse("crf:1e-3");
+         s.st2 = true;
+       },
+       nullptr},
+      {"spec_policy without st2",
+       [](RunSpec& s) { s.spec_policy = spec::PredictorConfig::parse("mru"); },
+       "spec_policy"},
+      {"spec_policy with st2",
+       [](RunSpec& s) {
+         s.spec_policy = spec::PredictorConfig::parse("mru");
+         s.st2 = true;
+       },
+       nullptr},
+  };
+  for (const Case& c : cases) {
+    RunSpec rs;
+    rs.kernel = "pathfinder";
+    c.mutate(rs);
+    if (c.rejected_option == nullptr) {
+      EXPECT_NO_THROW(rs.validate()) << c.what;
+      continue;
+    }
+    try {
+      rs.validate();
+      ADD_FAILURE() << "accepted: " << c.what;
+    } catch (const sim::SimError& e) {
+      EXPECT_EQ(e.kind(), sim::SimErrorKind::kBadArguments) << c.what;
+      EXPECT_EQ(std::string(e.what()).rfind(c.rejected_option, 0), 0u)
+          << c.what << ": " << e.what();
+    }
+  }
+}
+
+TEST(RunSpec, ValidateClampsJobsToTheHardware) {
+  RunSpec rs;
+  rs.jobs = sim::hardware_threads() + 7;
+  rs.validate();
+  EXPECT_EQ(rs.jobs, sim::hardware_threads());
+}
+
+TEST(RunSpec, MachineMapsEveryOption) {
+  RunSpec rs;
+  rs.st2 = true;
+  rs.lrr = true;
+  rs.sms = 3;
+  rs.jobs = 2;
+  rs.max_warps = 16;
+  rs.spec_policy = spec::PredictorConfig::parse("mru");
+  rs.inject = fault::FaultConfig::parse("crf:1e-3");
+  rs.watchdog_cycles = 123;
+  rs.watchdog_ms = 45;
+  const Machine m = rs.machine();
+  EXPECT_TRUE(m.cfg.st2_enabled);
+  EXPECT_EQ(m.cfg.scheduler, sim::WarpScheduler::kLrr);
+  EXPECT_EQ(m.cfg.num_sms, 3);
+  EXPECT_EQ(m.cfg.max_warps_per_sm, 16);
+  EXPECT_EQ(m.cfg.predictor, rs.spec_policy);
+  EXPECT_TRUE(m.cfg.inject.enabled());
+  EXPECT_EQ(m.opts.jobs, 2);
+  EXPECT_EQ(m.opts.watchdog_cycles, 123u);
+  EXPECT_EQ(m.opts.watchdog_ms, 45u);
+  EXPECT_EQ(m.opts.cancel, nullptr);  // process wiring is the caller's
+  EXPECT_EQ(m.opts.capture_provider, nullptr);
+
+  // max_warps 0 keeps the machine's default warp capacity.
+  EXPECT_EQ(RunSpec{}.machine().cfg.max_warps_per_sm,
+            sim::GpuConfig::baseline().max_warps_per_sm);
+}
+
+}  // namespace
+}  // namespace st2::run

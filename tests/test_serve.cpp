@@ -32,17 +32,17 @@ using serve::RunResult;
 
 TEST(ServeCodec, RequestDefaultsMirrorTheCli) {
   const RunRequest r = serve::parse_request(R"({"kernel": "pathfinder"})");
-  EXPECT_EQ(r.kernel, "pathfinder");
+  EXPECT_EQ(r.spec.kernel, "pathfinder");
   EXPECT_TRUE(r.id.empty());
-  EXPECT_DOUBLE_EQ(r.scale, 0.5);
-  EXPECT_FALSE(r.st2);
-  EXPECT_FALSE(r.lrr);
-  EXPECT_EQ(r.sms, 20);
-  EXPECT_EQ(r.jobs, 1);
-  EXPECT_EQ(r.max_warps, 0);
-  EXPECT_FALSE(r.inject.enabled());
-  EXPECT_EQ(r.watchdog_cycles, 0u);
-  EXPECT_EQ(r.watchdog_ms, 0u);
+  EXPECT_DOUBLE_EQ(r.spec.scale, 0.5);
+  EXPECT_FALSE(r.spec.st2);
+  EXPECT_FALSE(r.spec.lrr);
+  EXPECT_EQ(r.spec.sms, 20);
+  EXPECT_EQ(r.spec.jobs, 1);
+  EXPECT_EQ(r.spec.max_warps, 0);
+  EXPECT_FALSE(r.spec.inject.enabled());
+  EXPECT_EQ(r.spec.watchdog_cycles, 0u);
+  EXPECT_EQ(r.spec.watchdog_ms, 0u);
 }
 
 TEST(ServeCodec, FullRequestParses) {
@@ -52,30 +52,30 @@ TEST(ServeCodec, FullRequestParses) {
       R"( "inject": "crf:1e-3", "inject_seed": 7,)"
       R"( "watchdog_cycles": 100, "watchdog_ms": 2000})");
   EXPECT_EQ(r.id, "r1");
-  EXPECT_EQ(r.kernel, "sad_K1");
-  EXPECT_DOUBLE_EQ(r.scale, 0.25);
-  EXPECT_TRUE(r.st2);
-  EXPECT_TRUE(r.lrr);
-  EXPECT_EQ(r.sms, 4);
-  EXPECT_EQ(r.max_warps, 8);
-  EXPECT_TRUE(r.inject.enabled());
-  EXPECT_EQ(r.inject.seed, 7u);
-  EXPECT_EQ(r.watchdog_cycles, 100u);
-  EXPECT_EQ(r.watchdog_ms, 2000u);
+  EXPECT_EQ(r.spec.kernel, "sad_K1");
+  EXPECT_DOUBLE_EQ(r.spec.scale, 0.25);
+  EXPECT_TRUE(r.spec.st2);
+  EXPECT_TRUE(r.spec.lrr);
+  EXPECT_EQ(r.spec.sms, 4);
+  EXPECT_EQ(r.spec.max_warps, 8);
+  EXPECT_TRUE(r.spec.inject.enabled());
+  EXPECT_EQ(r.spec.inject.seed, 7u);
+  EXPECT_EQ(r.spec.watchdog_cycles, 100u);
+  EXPECT_EQ(r.spec.watchdog_ms, 2000u);
 }
 
 TEST(ServeCodec, SpecPolicyFieldParses) {
-  EXPECT_EQ(serve::parse_request(R"({"kernel": "x"})").spec_policy,
+  EXPECT_EQ(serve::parse_request(R"({"kernel": "x"})").spec.spec_policy,
             spec::PredictorConfig{})
       << "default is the paper's CRF";
   const RunRequest r = serve::parse_request(
       R"({"kernel": "x", "st2": true,)"
       R"( "spec_policy": "tage,tables=2,entries=64,minhist=4"})");
-  EXPECT_EQ(r.spec_policy,
+  EXPECT_EQ(r.spec.spec_policy,
             spec::PredictorConfig::parse("tage,tables=2,entries=64,minhist=4"));
   EXPECT_EQ(serve::parse_request(
                 R"({"kernel": "x", "st2": true, "spec_policy": "mru"})")
-                .spec_policy.kind,
+                .spec.spec_policy.kind,
             spec::PredictorKind::kMru);
 }
 
@@ -92,7 +92,9 @@ TEST(ServeCodec, StringEscapesDecode) {
 }
 
 // Every malformed line must be rejected through the taxonomy — a typo'd
-// field silently falling back to a default would corrupt a sweep.
+// field silently falling back to a default would corrupt a sweep. A line
+// that decodes but breaks an option rule is rejected by RunSpec::validate,
+// which runs before a request executes.
 TEST(ServeCodec, MalformedRequestsThrowBadArguments) {
   const char* cases[] = {
       "",                                        // empty
@@ -109,6 +111,7 @@ TEST(ServeCodec, MalformedRequestsThrowBadArguments) {
       R"({"kernel": "x", "scale": 0})",          // out-of-range scale
       R"({"kernel": "x", "scale": 99})",         // out-of-range scale
       R"({"kernel": "x", "sms": 0})",            // out-of-range sms
+      R"({"kernel": "x", "max_warps": -1})",     // negative warp cap
       R"({"kernel": "x", "sms": 1.5})",          // non-integral count
       R"({"kernel": "x", "watchdog_ms": -1})",   // negative u64
       R"({"kernel": "x", "inject": "crf:nope"})",  // bad fault spec
@@ -118,7 +121,7 @@ TEST(ServeCodec, MalformedRequestsThrowBadArguments) {
   };
   for (const char* line : cases) {
     try {
-      (void)serve::parse_request(line);
+      serve::parse_request(line).spec.validate();
       FAIL() << "accepted malformed request: " << line;
     } catch (const sim::SimError& e) {
       EXPECT_EQ(e.kind(), sim::SimErrorKind::kBadArguments) << line;
@@ -159,10 +162,10 @@ TEST(ServeCodec, EnvelopeRoundTrips) {
 
 RunRequest small_request(const std::string& kernel, bool st2 = false) {
   RunRequest req;
-  req.kernel = kernel;
-  req.scale = 0.15;
-  req.sms = 4;
-  req.st2 = st2;
+  req.spec.kernel = kernel;
+  req.spec.scale = 0.15;
+  req.spec.sms = 4;
+  req.spec.st2 = st2;
   return req;
 }
 
@@ -186,9 +189,9 @@ TEST(ServeRunner, ReportIsByteStableAcrossCacheAndRepeats) {
 TEST(ServeRunner, SpecPolicySelectsThePredictorEndToEnd) {
   const RunRequest def = small_request("pathfinder", true);
   RunRequest crf = def;
-  crf.spec_policy = spec::PredictorConfig::parse("crf");
+  crf.spec.spec_policy = spec::PredictorConfig::parse("crf");
   RunRequest mru = def;
-  mru.spec_policy = spec::PredictorConfig::parse("mru");
+  mru.spec.spec_policy = spec::PredictorConfig::parse("mru");
   const RunResult rd = serve::execute_request(def, nullptr, 0);
   const RunResult rc = serve::execute_request(crf, nullptr, 0);
   const RunResult rm = serve::execute_request(mru, nullptr, 0);
@@ -208,24 +211,24 @@ TEST(ServeRunner, RequestFailuresAreClassifiedNotThrown) {
   EXPECT_TRUE(r1.report.empty());
 
   RunRequest inject = small_request("pathfinder");  // inject without st2
-  inject.inject = fault::FaultConfig::parse("crf:1e-3");
+  inject.spec.inject = fault::FaultConfig::parse("crf:1e-3");
   const RunResult r2 = serve::execute_request(inject, nullptr, 0);
   EXPECT_EQ(r2.exit_code, sim::kExitBadArguments);
   EXPECT_EQ(r2.error_kind, "bad-arguments");
 
   RunRequest zoo = small_request("pathfinder");  // policy without st2
-  zoo.spec_policy = spec::PredictorConfig::parse("mru");
+  zoo.spec.spec_policy = spec::PredictorConfig::parse("mru");
   const RunResult rz = serve::execute_request(zoo, nullptr, 0);
   EXPECT_EQ(rz.exit_code, sim::kExitBadArguments);
   EXPECT_EQ(rz.error_kind, "bad-arguments");
 
   RunRequest jobs0 = small_request("pathfinder");
-  jobs0.jobs = 0;  // the CLI's --jobs contract, enforced per request
+  jobs0.spec.jobs = 0;  // the CLI's --jobs contract, enforced per request
   const RunResult r3 = serve::execute_request(jobs0, nullptr, 0);
   EXPECT_EQ(r3.exit_code, sim::kExitBadArguments);
 
   RunRequest tight = small_request("sad_K1", true);
-  tight.watchdog_cycles = 10;
+  tight.spec.watchdog_cycles = 10;
   const RunResult r4 = serve::execute_request(tight, nullptr, 0);
   EXPECT_EQ(r4.exit_code, sim::kExitWatchdogAborted);
   EXPECT_NE(r4.report.find("\"status\": \"aborted\""), std::string::npos);

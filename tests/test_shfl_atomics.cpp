@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/isa/builder.hpp"
-#include "src/sim/timing.hpp"
+#include "src/sim/engine.hpp"
 #include "src/sim/trace_run.hpp"
 
 namespace st2::sim {
@@ -168,10 +168,10 @@ TEST(Atomics, TimingModeMatchesTraceMode) {
   const std::uint64_t d_cnt = mem.alloc(8);
   GpuConfig cfg;
   cfg.num_sms = 2;
-  TimingSimulator ts(cfg);
+  ExecutionEngine ts(cfg);
   const auto r = ts.run(k, launch_1d(1024, 128, {d_cnt}), mem);
   EXPECT_EQ(mem.read_one<std::uint64_t>(d_cnt), 3 * 1024u);
-  EXPECT_GT(r.counters.cycles, 0u);
+  EXPECT_GT(r.chip.cycles, 0u);
 }
 
 }  // namespace

@@ -26,7 +26,7 @@
 
 #include "src/common/bitutils.hpp"
 #include "src/common/rng.hpp"
-#include "src/sim/timing.hpp"
+#include "src/sim/engine.hpp"
 #include "src/spec/peek.hpp"
 #include "src/spec/policy.hpp"
 #include "src/spec/predictor.hpp"
@@ -289,10 +289,10 @@ TEST(SpecPolicyProperty, AllPoliciesAgreeOnEveryArchitecturalCounter) {
       sim::GpuConfig cfg = sim::GpuConfig::st2();
       cfg.num_sms = 2;
       cfg.predictor = PredictorConfig::parse(spec);
-      sim::TimingSimulator ts(cfg);
+      sim::ExecutionEngine ts(cfg);
       sim::EventCounters sum;
       for (const auto& lc : pc.launches) {
-        sum += ts.run_report(pc.kernel, lc, *pc.mem).chip;
+        sum += ts.run(pc.kernel, lc, *pc.mem).chip;
       }
       // Architectural results stay exact under every policy.
       EXPECT_TRUE(pc.validate(*pc.mem)) << kernel << " under " << spec;

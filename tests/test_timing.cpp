@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/isa/builder.hpp"
-#include "src/sim/timing.hpp"
+#include "src/sim/engine.hpp"
 #include "src/sim/trace_run.hpp"
 
 namespace st2::sim {
@@ -56,7 +56,7 @@ TEST(Timing, ProducesSameResultsAsTraceMode) {
   const std::uint64_t o1 = m1.alloc(8 * 256);
   const std::uint64_t o2 = m2.alloc(8 * 256);
   trace_run(k, launch_1d(256, 64, {o1}), m1);
-  TimingSimulator ts(small_config());
+  ExecutionEngine ts(small_config());
   ts.run(k, launch_1d(256, 64, {o2}), m2);
   std::vector<std::uint64_t> a(256), b(256);
   m1.read<std::uint64_t>(o1, a);
@@ -72,26 +72,26 @@ TEST(Timing, St2ModeNeverChangesResults) {
   GpuConfig base = small_config();
   GpuConfig st2 = small_config();
   st2.st2_enabled = true;
-  TimingSimulator t1(base), t2(st2);
+  ExecutionEngine t1(base), t2(st2);
   t1.run(k, launch_1d(512, 128, {o1}), m1);
-  const TimingResult r2 = t2.run(k, launch_1d(512, 128, {o2}), m2);
+  const RunReport r2 = t2.run(k, launch_1d(512, 128, {o2}), m2);
   std::vector<std::uint64_t> a(512), b(512);
   m1.read<std::uint64_t>(o1, a);
   m2.read<std::uint64_t>(o2, b);
   EXPECT_EQ(a, b);  // ST2 is variable-latency, never approximate
-  EXPECT_GT(r2.counters.adder_thread_ops, 0u);
-  EXPECT_GT(r2.counters.crf_row_reads, 0u);
+  EXPECT_GT(r2.chip.adder_thread_ops, 0u);
+  EXPECT_GT(r2.chip.crf_row_reads, 0u);
 }
 
 TEST(Timing, BaselineCollectsNoSpeculationEvents) {
   const isa::Kernel k = alu_kernel(5);
   GlobalMemory m;
   const std::uint64_t o = m.alloc(8 * 64);
-  TimingSimulator ts(small_config());
-  const TimingResult r = ts.run(k, launch_1d(64, 64, {o}), m);
-  EXPECT_EQ(r.counters.adder_thread_ops, 0u);
-  EXPECT_EQ(r.counters.crf_row_reads, 0u);
-  EXPECT_GT(r.counters.cycles, 0u);
+  ExecutionEngine ts(small_config());
+  const RunReport r = ts.run(k, launch_1d(64, 64, {o}), m);
+  EXPECT_EQ(r.chip.adder_thread_ops, 0u);
+  EXPECT_EQ(r.chip.crf_row_reads, 0u);
+  EXPECT_GT(r.chip.cycles, 0u);
 }
 
 TEST(Timing, MemoryLatencyShowsUpInCycles) {
@@ -102,28 +102,28 @@ TEST(Timing, MemoryLatencyShowsUpInCycles) {
   const std::uint64_t o1 = m1.alloc(8 * 128);
   const std::uint64_t d2 = m2.alloc(n * 4);
   const std::uint64_t o2 = m2.alloc(8 * 128);
-  TimingSimulator ts(small_config());
+  ExecutionEngine ts(small_config());
   const auto dense = ts.run(mem_kernel(0),
                             launch_1d(128, 128,
                                       {d1, o1, static_cast<std::uint64_t>(n)}),
                             m1);
-  TimingSimulator ts2(small_config());
+  ExecutionEngine ts2(small_config());
   const auto sparse = ts2.run(
       mem_kernel(97),
       launch_1d(128, 128, {d2, o2, static_cast<std::uint64_t>(n)}), m2);
-  EXPECT_GT(sparse.counters.l1_misses, dense.counters.l1_misses);
-  EXPECT_GT(sparse.counters.cycles, dense.counters.cycles);
+  EXPECT_GT(sparse.chip.l1_misses, dense.chip.l1_misses);
+  EXPECT_GT(sparse.chip.cycles, dense.chip.cycles);
 }
 
 TEST(Timing, CyclesScaleWithWork) {
   GlobalMemory m1, m2;
   const std::uint64_t o1 = m1.alloc(8 * 128);
   const std::uint64_t o2 = m2.alloc(8 * 128);
-  TimingSimulator ts(small_config());
+  ExecutionEngine ts(small_config());
   const auto short_run = ts.run(alu_kernel(10), launch_1d(128, 128, {o1}), m1);
-  TimingSimulator ts2(small_config());
+  ExecutionEngine ts2(small_config());
   const auto long_run = ts2.run(alu_kernel(100), launch_1d(128, 128, {o2}), m2);
-  EXPECT_GT(long_run.counters.cycles, 2 * short_run.counters.cycles);
+  EXPECT_GT(long_run.chip.cycles, 2 * short_run.chip.cycles);
 }
 
 TEST(Timing, MispredictionStallsAddCycles) {
@@ -147,13 +147,13 @@ TEST(Timing, MispredictionStallsAddCycles) {
   const std::uint64_t o2 = m2.alloc(8 * 256);
   GpuConfig st2_cfg = small_config();
   st2_cfg.st2_enabled = true;
-  TimingSimulator base(small_config()), st2(st2_cfg);
+  ExecutionEngine base(small_config()), st2(st2_cfg);
   const auto rb = base.run(k, launch_1d(256, 128, {o1}), m1);
   const auto rs = st2.run(k, launch_1d(256, 128, {o2}), m2);
-  EXPECT_GT(rs.counters.warp_adder_stalls, 0u);
-  EXPECT_GE(rs.counters.cycles, rb.counters.cycles);
+  EXPECT_GT(rs.chip.warp_adder_stalls, 0u);
+  EXPECT_GE(rs.chip.cycles, rb.chip.cycles);
   // Even adversarial stalls stay bounded: one extra cycle per adder op max.
-  EXPECT_LT(double(rs.counters.cycles), 2.0 * double(rb.counters.cycles));
+  EXPECT_LT(double(rs.chip.cycles), 2.0 * double(rb.chip.cycles));
   std::vector<std::uint64_t> a(256), b(256);
   m1.read<std::uint64_t>(o1, a);
   m2.read<std::uint64_t>(o2, b);
@@ -168,7 +168,7 @@ TEST(Timing, LrrSchedulerAlsoRunsToCompletionCorrectly) {
   GpuConfig gto = small_config();
   GpuConfig lrr = small_config();
   lrr.scheduler = WarpScheduler::kLrr;
-  TimingSimulator t1(gto), t2(lrr);
+  ExecutionEngine t1(gto), t2(lrr);
   const auto r1 = t1.run(k, launch_1d(256, 64, {o1}), m1);
   const auto r2 = t2.run(k, launch_1d(256, 64, {o2}), m2);
   std::vector<std::uint64_t> a(256), b(256);
@@ -176,8 +176,8 @@ TEST(Timing, LrrSchedulerAlsoRunsToCompletionCorrectly) {
   m2.read<std::uint64_t>(o2, b);
   EXPECT_EQ(a, b);  // scheduling never changes results
   // Both make progress; instruction totals are identical.
-  EXPECT_EQ(r1.counters.warp_instructions, r2.counters.warp_instructions);
-  EXPECT_GT(r2.counters.cycles, 0u);
+  EXPECT_EQ(r1.chip.warp_instructions, r2.chip.warp_instructions);
+  EXPECT_GT(r2.chip.cycles, 0u);
 }
 
 TEST(Timing, SharedMemoryCapLimitsResidency) {
@@ -196,9 +196,9 @@ TEST(Timing, SharedMemoryCapLimitsResidency) {
   const std::uint64_t o = m.alloc(8 * 1024);
   GpuConfig cfg = small_config();
   cfg.num_sms = 1;
-  TimingSimulator ts(cfg);
+  ExecutionEngine ts(cfg);
   const auto r = ts.run(k, launch_1d(1024, 128, {o}), m);
-  EXPECT_GT(r.counters.cycles, 0u);  // completes despite serialization
+  EXPECT_GT(r.chip.cycles, 0u);  // completes despite serialization
 }
 
 }  // namespace

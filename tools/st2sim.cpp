@@ -97,7 +97,6 @@
 //   st2sim run msort_K2 --disasm           # print the mini-PTX
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -113,12 +112,12 @@
 #include "src/fault/fault.hpp"
 #include "src/orch/supervisor.hpp"
 #include "src/power/model.hpp"
+#include "src/run/run.hpp"
 #include "src/serve/client.hpp"
 #include "src/serve/server.hpp"
 #include "src/sim/error.hpp"
 #include "src/sim/jobs.hpp"
 #include "src/sim/spec_harness.hpp"
-#include "src/sim/timing.hpp"
 #include "src/sim/trace_run.hpp"
 #include "src/snapshot/crc32.hpp"
 #include "src/snapshot/serial.hpp"
@@ -150,22 +149,12 @@ extern "C" void on_signal(int sig) {
 
 struct Options {
   std::string command;
-  std::string kernel;
-  std::string spec = "Ltid+Prev+ModPC4+Peek";
-  spec::PredictorConfig spec_policy;  ///< --spec-policy (timing mode)
-  double scale = 0.5;
-  bool st2 = false;
-  bool lrr = false;
+  run::RunSpec run;  ///< the run options, shared with serve requests
+  std::string spec = "Ltid+Prev+ModPC4+Peek";  ///< --spec (trace mode)
   bool trace = false;
   bool disasm = false;
   bool selfcheck = false;
   bool profile = false;  ///< --profile: per-phase wall-time breakdown
-  int sms = 20;
-  int jobs = 1;
-  int max_warps = 0;  ///< 0 = the config default
-  fault::FaultConfig inject;
-  std::uint64_t watchdog_cycles = 0;
-  std::uint64_t watchdog_ms = 0;
   std::string csv;
   std::string json;
   std::string timeline;
@@ -220,26 +209,6 @@ struct ProfileAccum {
                  static_cast<unsigned long long>(launches), sms, rate,
                  sms > 0 ? rate / sms : 0.0);
   }
-};
-
-/// Scoped phase timer: adds the elapsed wall time to `*acc` on destruction
-/// (no-op when profiling is off and `acc` is null).
-class PhaseTimer {
- public:
-  explicit PhaseTimer(double* acc)
-      : acc_(acc), start_(std::chrono::steady_clock::now()) {}
-  ~PhaseTimer() {
-    if (acc_ == nullptr) return;
-    *acc_ += std::chrono::duration<double>(
-                 std::chrono::steady_clock::now() - start_)
-                 .count();
-  }
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  double* acc_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 /// Strict integer parse: rejects partial matches like "8x" or "abc",
@@ -310,7 +279,7 @@ bool parse(int argc, char** argv, Options* o) {
   o->command = argv[1];
   if (o->command == "list") return argc == 2;
   if (o->command != "run" || argc < 3) return false;
-  o->kernel = argv[2];
+  o->run.kernel = argv[2];
   for (int i = 3; i < argc; ++i) {
     const std::string a = argv[i];
     auto next = [&]() -> const char* {
@@ -318,20 +287,20 @@ bool parse(int argc, char** argv, Options* o) {
     };
     if (a == "--scale") {
       const char* v = next();
-      if (!v || !parse_double(v, &o->scale)) return false;
+      if (!v || !parse_double(v, &o->run.scale)) return false;
     } else if (a == "--max-warps") {
       const char* v = next();
-      if (!v || !parse_int(v, &o->max_warps)) return false;
+      if (!v || !parse_int(v, &o->run.max_warps)) return false;
     } else if (a == "--timeline") {
       const char* v = next();
       if (!v) return false;
       o->timeline = v;
     } else if (a == "--sms") {
       const char* v = next();
-      if (!v || !parse_int(v, &o->sms)) return false;
+      if (!v || !parse_int(v, &o->run.sms)) return false;
     } else if (a == "--jobs") {
       const char* v = next();
-      if (!v || !parse_int(v, &o->jobs)) return false;
+      if (!v || !parse_int(v, &o->run.jobs)) return false;
     } else if (a == "--csv") {
       const char* v = next();
       if (!v) return false;
@@ -347,22 +316,24 @@ bool parse(int argc, char** argv, Options* o) {
     } else if (a == "--spec-policy") {
       const char* v = next();
       if (!v) return false;
-      o->spec_policy = spec::PredictorConfig::parse(v);  // throws on bad spec
+      // Throws on a bad spec.
+      o->run.spec_policy = spec::PredictorConfig::parse(v);
     } else if (a == "--inject") {
       const char* v = next();
       if (!v) return false;
-      const std::uint64_t seed = o->inject.seed;  // --inject-seed may precede
-      o->inject = fault::FaultConfig::parse(v);   // throws on a bad spec
-      o->inject.seed = seed;
+      // --inject-seed may precede; a bad spec throws.
+      const std::uint64_t seed = o->run.inject.seed;
+      o->run.inject = fault::FaultConfig::parse(v);
+      o->run.inject.seed = seed;
     } else if (a == "--inject-seed") {
       const char* v = next();
-      if (!v || !parse_u64(v, &o->inject.seed)) return false;
+      if (!v || !parse_u64(v, &o->run.inject.seed)) return false;
     } else if (a == "--watchdog-cycles") {
       const char* v = next();
-      if (!v || !parse_u64(v, &o->watchdog_cycles)) return false;
+      if (!v || !parse_u64(v, &o->run.watchdog_cycles)) return false;
     } else if (a == "--watchdog-ms") {
       const char* v = next();
-      if (!v || !parse_u64(v, &o->watchdog_ms)) return false;
+      if (!v || !parse_u64(v, &o->run.watchdog_ms)) return false;
     } else if (a == "--checkpoint") {
       const char* v = next();
       if (!v) return false;
@@ -383,9 +354,9 @@ bool parse(int argc, char** argv, Options* o) {
     } else if (a == "--selfcheck") {
       o->selfcheck = true;
     } else if (a == "--st2") {
-      o->st2 = true;
+      o->run.st2 = true;
     } else if (a == "--lrr") {
-      o->lrr = true;
+      o->run.lrr = true;
     } else if (a == "--trace") {
       o->trace = true;
     } else if (a == "--disasm") {
@@ -395,8 +366,7 @@ bool parse(int argc, char** argv, Options* o) {
       return false;
     }
   }
-  return o->scale > 0 && o->scale <= 4.0 && o->sms >= 1 && o->jobs >= 0 &&
-         o->max_warps >= 0;
+  return true;
 }
 
 /// Crash-consistent report write (CSV/JSON/timeline): delegates to the
@@ -410,7 +380,7 @@ bool write_report_file(const std::string& path, const std::string& content) {
     snapshot::atomic_write_file(path, content);
     return true;
   } catch (const sim::SimError& e) {
-    std::fprintf(stderr, "%s\n", e.structured().c_str());
+    run::report_error(e);
     return false;
   }
 }
@@ -423,22 +393,23 @@ bool write_report_file(const std::string& path, const std::string& content) {
 /// watchdog budgets and the checkpoint flags themselves, so an aborted run
 /// can be resumed with more headroom or a different snapshot cadence.
 std::uint64_t config_hash(const Options& o) {
+  const run::RunSpec& r = o.run;
   char scale[48];
-  std::snprintf(scale, sizeof scale, "%a", o.scale);  // exact hexfloat
+  std::snprintf(scale, sizeof scale, "%a", r.scale);  // exact hexfloat
   std::string s;
-  s += "kernel=" + o.kernel;
+  s += "kernel=" + r.kernel;
   s += ";scale=";
   s += scale;
   s += ";st2=";
-  s += o.st2 ? '1' : '0';
+  s += r.st2 ? '1' : '0';
   s += ";lrr=";
-  s += o.lrr ? '1' : '0';
-  s += ";sms=" + std::to_string(o.sms);
-  s += ";max_warps=" + std::to_string(o.max_warps);
+  s += r.lrr ? '1' : '0';
+  s += ";sms=" + std::to_string(r.sms);
+  s += ";max_warps=" + std::to_string(r.max_warps);
   s += ";spec=" + o.spec;
-  s += ";spec_policy=" + o.spec_policy.describe();
-  s += ";inject=" + o.inject.describe();
-  s += ";inject_seed=" + std::to_string(o.inject.seed);
+  s += ";spec_policy=" + r.spec_policy.describe();
+  s += ";inject=" + r.inject.describe();
+  s += ";inject_seed=" + std::to_string(r.inject.seed);
   // Output shape: --timeline changes the simulated state (timeline buffers)
   // and --json changes which reports the run context must carry.
   s += ";timeline=";
@@ -537,7 +508,7 @@ ResumeData read_checkpoint(const std::string& path, std::uint64_t hash) {
 void run_selfcheck(const Options& o, const std::string& name,
                    const workloads::PreparedCase& pc,
                    const sim::EventCounters& c) {
-  workloads::PreparedCase ref = workloads::prepare_case(name, o.scale);
+  workloads::PreparedCase ref = workloads::prepare_case(name, o.run.scale);
   for (const auto& lc : ref.launches) {
     sim::trace_run(ref.kernel, lc, *ref.mem);
   }
@@ -577,7 +548,7 @@ int run_one(const Options& o, const std::string& name, Table* out,
             std::vector<std::string>* trace_events, int* next_pid,
             std::uint32_t kernel_pos, int rc_so_far,
             const ResumeData* resume, ProfileAccum* prof) {
-  workloads::PreparedCase pc = workloads::prepare_case(name, o.scale);
+  workloads::PreparedCase pc = workloads::prepare_case(name, o.run.scale);
   if (o.disasm) {
     std::printf("%s\n", pc.kernel.disassemble().c_str());
     return sim::kExitOk;
@@ -607,7 +578,7 @@ int run_one(const Options& o, const std::string& name, Table* out,
     sim::EventCounters c;
     {
       // Trace mode has no replay: the functional pass is the whole phase.
-      PhaseTimer pt(prof != nullptr ? &prof->capture_s : nullptr);
+      run::PhaseTimer pt(prof != nullptr ? &prof->capture_s : nullptr);
       for (const auto& lc : pc.launches) {
         c += sim::trace_run(pc.kernel, lc, *pc.mem,
                             [&](const sim::ExecRecord& r) { spec.feed(r); })
@@ -621,23 +592,15 @@ int run_one(const Options& o, const std::string& name, Table* out,
     return ok ? sim::kExitOk : sim::kExitValidationFailed;
   }
 
-  sim::GpuConfig cfg = o.st2 ? sim::GpuConfig::st2()
-                             : sim::GpuConfig::baseline();
-  cfg.num_sms = o.sms;
-  if (o.lrr) cfg.scheduler = sim::WarpScheduler::kLrr;
-  if (o.max_warps > 0) cfg.max_warps_per_sm = o.max_warps;
-  if (trace_events) cfg.timeline_bucket = kTimelineBucket;
-  cfg.inject = o.inject;
-  cfg.predictor = o.spec_policy;
-  sim::EngineOptions eopts;
-  eopts.jobs = o.jobs;
-  eopts.watchdog_cycles = o.watchdog_cycles;
-  eopts.watchdog_ms = o.watchdog_ms;
-  eopts.cancel = &g_cancel;
-  sim::ExecutionEngine eng(cfg, eopts);
-  sim::EventCounters c;
-  std::uint64_t cycles = 0;
-  std::size_t start_launch = 0;
+  run::Machine m = o.run.machine();
+  if (trace_events) m.cfg.timeline_bucket = kTimelineBucket;
+  m.opts.cancel = &g_cancel;
+  m.opts.capture_provider = o.cache;
+  run::LaunchHooks hooks;
+  if (prof != nullptr) {
+    hooks.capture_s = &prof->capture_s;
+    hooks.replay_s = &prof->replay_s;
+  }
   if (resume != nullptr) {
     if (resume->launch_idx >= pc.launches.size()) {
       throw sim::SimError(
@@ -646,56 +609,36 @@ int run_one(const Options& o, const std::string& name, Table* out,
               " but kernel '" + name + "' has " +
               std::to_string(pc.launches.size()) + " launches");
     }
-    start_launch = resume->launch_idx;
-    c = resume->counters;
-    cycles = resume->cycles;
-    // Re-run the completed launches' captures: capture IS the canonical
-    // functional pass, so this re-applies their architectural side effects
-    // to global memory — which later captures and the final host validation
-    // need — deterministically and without any timing replay.
-    PhaseTimer pt(prof != nullptr ? &prof->capture_s : nullptr);
-    for (std::size_t li = 0; li < start_launch; ++li) {
-      if (o.cache != nullptr) {
-        (void)o.cache->provide(cfg, pc.kernel, pc.launches[li], *pc.mem);
-      } else {
-        (void)sim::capture_grid(cfg, pc.kernel, pc.launches[li], *pc.mem);
-      }
-    }
+    // The completed launches are re-captured, not replayed: capture IS the
+    // canonical functional pass, so this re-applies their architectural side
+    // effects to global memory — which later captures and the final host
+    // validation need — deterministically and without any timing replay.
+    hooks.start_launch = resume->launch_idx;
+    hooks.resumed.counters = resume->counters;
+    hooks.resumed.cycles = resume->cycles;
   }
   const bool checkpointing = !o.checkpoint.empty();
-  const std::uint64_t hash =
-      checkpointing ? config_hash(o) : 0;
-  std::string abort_reason;
-  bool resumable = false;
-  for (std::size_t li = start_launch; li < pc.launches.size(); ++li) {
-    const int launch_idx = static_cast<int>(li);
-    const sim::GridCapture cap = [&] {
-      PhaseTimer cpt(prof != nullptr ? &prof->capture_s : nullptr);
-      return o.cache != nullptr
-                 ? o.cache->provide(cfg, pc.kernel, pc.launches[li], *pc.mem)
-                 : sim::capture_grid(cfg, pc.kernel, pc.launches[li],
-                                     *pc.mem);
-    }();
-    bool wrote_abort_snapshot = false;
-    sim::RunReport r;
-    const bool resume_this = resume != nullptr && li == start_launch;
-    if (checkpointing || resume_this) {
+  const std::uint64_t hash = checkpointing ? config_hash(o) : 0;
+  bool wrote_abort_snapshot = false;
+  if (checkpointing || resume != nullptr) {
+    hooks.checkpoint = [&](std::size_t li, const run::CaseResult& so_far) {
       sim::ReplayCheckpoint ck;
       ck.every = o.checkpoint_every;
       if (checkpointing) {
         // The sink fires at epoch barriers (and on abort) with the full
         // engine state; everything else in the context is the completed
         // work so far — the in-flight launch has pushed nothing yet.
-        ck.sink = [&](const std::string& state, std::uint64_t /*cycle*/,
-                      bool on_abort) {
+        ck.sink = [&, li, done = &so_far](const std::string& state,
+                                          std::uint64_t /*cycle*/,
+                                          bool on_abort) {
           ResumeData d;
           d.kernel_name = name;
           d.kernel_pos = kernel_pos;
           d.launch_idx = static_cast<std::uint32_t>(li);
           d.next_pid = *next_pid;
           d.rc = rc_so_far;
-          d.counters = c;
-          d.cycles = cycles;
+          d.counters = done->counters;
+          d.cycles = done->cycles;
           d.table_rows = out->raw_rows();
           if (json_reports) d.json_reports = *json_reports;
           if (trace_events) d.trace_events = *trace_events;
@@ -704,55 +647,49 @@ int run_one(const Options& o, const std::string& name, Table* out,
           if (on_abort) wrote_abort_snapshot = true;
         };
       }
-      if (resume_this) ck.resume = &resume->engine_state;
-      PhaseTimer rpt(prof != nullptr ? &prof->replay_s : nullptr);
-      r = eng.replay(pc.kernel, cap, &ck);
-    } else {
-      PhaseTimer rpt(prof != nullptr ? &prof->replay_s : nullptr);
-      r = eng.replay(pc.kernel, cap);
-    }
-    if (r.aborted() && wrote_abort_snapshot) {
-      // The partial run is not lost: the abort-time snapshot makes it
-      // continuable via --resume. The exit code keeps its abort meaning.
-      r.status = "resumable";
-      resumable = true;
-    }
+      if (resume != nullptr && li == resume->launch_idx) {
+        ck.resume = &resume->engine_state;
+      }
+      return ck;
+    };
+  }
+  hooks.on_report = [&](std::size_t li, sim::RunReport& r) {
+    // An abort-time snapshot makes the partial run continuable via --resume;
+    // the exit code keeps its abort meaning.
+    if (r.aborted() && wrote_abort_snapshot) r.status = "resumable";
+    const int launch_idx = static_cast<int>(li);
     if (json_reports) json_reports->push_back(r.to_json(name, launch_idx));
     if (trace_events) {
       const std::string ev =
           r.chrome_trace_events(name, launch_idx, (*next_pid)++);
       if (!ev.empty()) trace_events->push_back(ev);
     }
-    c += r.chip;
-    cycles += r.wall_cycles();
     if (prof != nullptr) {
       prof->cycles += r.wall_cycles();
       ++prof->launches;
     }
-    if (r.aborted()) {
-      abort_reason = r.abort_reason;
-      break;  // remaining launches would run on inconsistent timing state
-    }
-  }
-  if (!abort_reason.empty()) {
+  };
+  const run::CaseResult res = run::run_case(m, pc, hooks);
+  const sim::EventCounters& c = res.counters;
+  if (!res.abort_reason.empty()) {
     // The partial report (already in json_reports) is the deliverable; the
     // table row records why the run stopped and whether it can continue.
     out->row({name,
-              (resumable ? "resumable:" : "aborted:") + abort_reason,
+              (wrote_abort_snapshot ? "resumable:" : "aborted:") +
+                  res.abort_reason,
               std::to_string(c.thread_instructions), "-",
-              std::to_string(cycles), "-", "-", "-"});
-    return abort_reason == "interrupted" ? sim::kExitInterrupted
-                                         : sim::kExitWatchdogAborted;
+              std::to_string(res.cycles), "-", "-", "-"});
+    return res.exit_code();
   }
-  const bool ok = pc.validate(*pc.mem);
-  if (ok && o.selfcheck) run_selfcheck(o, name, pc, c);
+  if (res.valid && o.selfcheck) run_selfcheck(o, name, pc, c);
   const power::PowerModel pm;
-  const auto e = pm.energy(c, o.st2);
-  out->row({name, ok ? "ok" : "FAIL", std::to_string(c.thread_instructions),
-            Table::pct(c.simd_efficiency()), std::to_string(cycles),
-            o.st2 ? Table::pct(c.adder_misprediction_rate()) : "-",
+  const auto e = pm.energy(c, o.run.st2);
+  out->row({name, res.valid ? "ok" : "FAIL",
+            std::to_string(c.thread_instructions),
+            Table::pct(c.simd_efficiency()), std::to_string(res.cycles),
+            o.run.st2 ? Table::pct(c.adder_misprediction_rate()) : "-",
             Table::num(e.total(), 0), Table::num(e.chip(), 0)});
-  return ok ? sim::kExitOk : sim::kExitValidationFailed;
+  return res.exit_code();
 }
 
 /// stdout is an output file like any other (docs/robustness.md): with
@@ -850,8 +787,7 @@ int serve_main(int argc, char** argv) {
     return finish_stdout(sim::kExitOk);
   } catch (const sim::SimError& e) {
     g_server = nullptr;
-    std::fprintf(stderr, "%s\n", e.structured().c_str());
-    return sim::exit_code(e.kind());
+    return run::report_error(e);
   }
 }
 
@@ -976,8 +912,7 @@ int sweep_main(int argc, char** argv) {
     std::signal(SIGTERM, on_signal);
     return orch::run_sweep(so);
   } catch (const sim::SimError& e) {
-    std::fprintf(stderr, "%s\n", e.structured().c_str());
-    return sim::exit_code(e.kind());
+    return run::report_error(e);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error[internal]: %s\n", e.what());
     return sim::kExitInvariantViolation;
@@ -1004,55 +939,28 @@ int main(int argc, char** argv) {
   Options o;
   try {
     if (!parse(argc, argv, &o)) return usage();
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error[bad-arguments]: %s\n", e.what());
-    return sim::kExitBadArguments;
+    o.run.validate();
+  } catch (const std::exception&) {
+    return run::report_error(run::current_error());
   }
-  if (o.command == "run") {
-    try {
-      // Shared with serve's --workers: 0 is a usage error (an unset shell
-      // variable, not a request for "all cores"), oversubscription clamps.
-      o.jobs = sim::validate_thread_count(o.jobs, "--jobs");
-    } catch (const sim::SimError& e) {
-      std::fprintf(stderr, "%s\n", e.structured().c_str());
-      return sim::exit_code(e.kind());
+  if (o.trace || o.disasm) {
+    const char* timing_only =
+        o.run.spec_policy.kind != spec::PredictorKind::kCrf ? "--spec-policy"
+        : o.selfcheck                                       ? "--selfcheck"
+        : !o.checkpoint.empty() || !o.resume.empty() ? "--checkpoint/--resume"
+        : !o.trace_cache.empty()                     ? "--trace-cache"
+                                                     : nullptr;
+    if (timing_only != nullptr) {
+      std::fprintf(stderr,
+                   "error[bad-arguments]: %s applies to timing runs only\n",
+                   timing_only);
+      return sim::kExitBadArguments;
     }
-  }
-  if (o.inject.enabled() && !o.st2) {
-    std::fprintf(stderr,
-                 "error[bad-arguments]: --inject targets the ST2 speculation "
-                 "state; add --st2\n");
-    return sim::kExitBadArguments;
-  }
-  if (o.spec_policy.kind != spec::PredictorKind::kCrf &&
-      (!o.st2 || o.trace || o.disasm)) {
-    std::fprintf(stderr,
-                 "error[bad-arguments]: --spec-policy selects the ST2 carry "
-                 "predictor for timing runs; add --st2\n");
-    return sim::kExitBadArguments;
-  }
-  if (o.selfcheck && (o.trace || o.disasm)) {
-    std::fprintf(stderr,
-                 "error[bad-arguments]: --selfcheck applies to timing runs "
-                 "only\n");
-    return sim::kExitBadArguments;
-  }
-  if ((!o.checkpoint.empty() || !o.resume.empty()) && (o.trace || o.disasm)) {
-    std::fprintf(stderr,
-                 "error[bad-arguments]: --checkpoint/--resume apply to "
-                 "timing runs only\n");
-    return sim::kExitBadArguments;
   }
   if (o.checkpoint_every > 0 && o.checkpoint.empty()) {
     std::fprintf(stderr,
                  "error[bad-arguments]: --checkpoint-every requires "
                  "--checkpoint FILE\n");
-    return sim::kExitBadArguments;
-  }
-  if (!o.trace_cache.empty() && (o.trace || o.disasm)) {
-    std::fprintf(stderr,
-                 "error[bad-arguments]: --trace-cache applies to timing runs "
-                 "only\n");
     return sim::kExitBadArguments;
   }
 
@@ -1079,8 +987,7 @@ int main(int argc, char** argv) {
       copts.dir = o.trace_cache;
       cache = std::make_unique<tracecache::TraceCache>(copts);
     } catch (const sim::SimError& e) {
-      std::fprintf(stderr, "%s\n", e.structured().c_str());
-      return sim::exit_code(e.kind());
+      return run::report_error(e);
     }
     o.cache = cache.get();
   }
@@ -1104,8 +1011,7 @@ int main(int argc, char** argv) {
     try {
       resume = read_checkpoint(o.resume, config_hash(o));
     } catch (const sim::SimError& e) {
-      std::fprintf(stderr, "%s\n", e.structured().c_str());
-      return sim::exit_code(e.kind());
+      return run::report_error(e);
     }
     resuming = true;
     rc = resume.rc;
@@ -1114,32 +1020,23 @@ int main(int argc, char** argv) {
     trace_events = resume.trace_events;
     for (const auto& row : resume.table_rows) t.row(row);
   }
-  // Every failure is classified: unknown kernels and bad specs are user
-  // errors, launches that can never be admitted are inadmissible, corrupt
-  // snapshots are rejected with their own kind, broken internal invariants
-  // are simulator bugs — each with its own exit code and a one-line
-  // structured stderr message instead of a bare what().
+  // Every failure is classified (run::guarded): unknown kernels and bad
+  // specs are user errors, launches that can never be admitted are
+  // inadmissible, corrupt snapshots are rejected with their own kind, broken
+  // internal invariants are simulator bugs — each with its own exit code and
+  // a one-line structured stderr message instead of a bare what().
   ProfileAccum prof;
   ProfileAccum* pr = o.profile ? &prof : nullptr;
-  auto guarded = [&](const std::string& name, std::uint32_t kernel_pos,
-                     const ResumeData* rd) {
-    try {
-      return run_one(o, name, &t, jr, te, &next_pid, kernel_pos, rc, rd, pr);
-    } catch (const sim::SimError& e) {
-      std::fprintf(stderr, "%s\n", e.structured().c_str());
-      return sim::exit_code(e.kind());
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "error[bad-arguments]: %s\n", e.what());
-      return sim::kExitBadArguments;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error[internal]: %s\n", e.what());
-      return sim::kExitInvariantViolation;
-    }
+  const auto kernel = [&](const std::string& name, std::uint32_t pos,
+                          int rc_so_far) {
+    const bool is_resumed = resuming && pos == resume.kernel_pos;
+    return run_one(o, name, &t, jr, te, &next_pid, pos, rc_so_far,
+                   is_resumed ? &resume : nullptr, pr);
   };
-  if (o.kernel == "all") {
-    const std::vector<workloads::CaseInfo> cases = workloads::case_list();
-    std::uint32_t pos = 0;
+  if (o.run.kernel == "all") {
+    std::uint32_t first = 0;
     if (resuming) {
+      const std::vector<workloads::CaseInfo> cases = workloads::case_list();
       if (resume.kernel_pos >= cases.size() ||
           cases[resume.kernel_pos].name != resume.kernel_name) {
         std::fprintf(stderr,
@@ -1148,35 +1045,26 @@ int main(int argc, char** argv) {
                      o.resume.c_str());
         return sim::kExitSnapshotInvalid;
       }
-      pos = resume.kernel_pos;
+      first = resume.kernel_pos;
     }
-    for (; pos < cases.size(); ++pos) {
-      const bool is_resumed = resuming && pos == resume.kernel_pos;
-      const int code =
-          guarded(cases[pos].name, pos, is_resumed ? &resume : nullptr);
-      if (rc == sim::kExitOk) rc = code;
-      // An interrupt stops the sweep; the files below still flush whatever
-      // completed (plus the partial report of the interrupted kernel).
-      if (code == sim::kExitInterrupted || g_cancel.load()) {
-        if (rc == sim::kExitOk) rc = sim::kExitInterrupted;
-        break;
-      }
-    }
+    // An interrupt stops the sweep; the files below still flush whatever
+    // completed (plus the partial report of the interrupted kernel).
+    rc = run::run_all(kernel, first, rc, &g_cancel);
   } else {
-    if (resuming && resume.kernel_name != o.kernel) {
+    if (resuming && resume.kernel_name != o.run.kernel) {
       // The config hash pins the kernel argument already; defense in depth.
       std::fprintf(stderr,
                    "error[snapshot-invalid]: snapshot '%s' was taken for "
                    "kernel '%s', not '%s'\n",
                    o.resume.c_str(), resume.kernel_name.c_str(),
-                   o.kernel.c_str());
+                   o.run.kernel.c_str());
       return sim::kExitSnapshotInvalid;
     }
-    rc = guarded(o.kernel, 0, resuming ? &resume : nullptr);
+    rc = run::guarded([&] { return kernel(o.run.kernel, 0, rc); });
   }
   if (!o.disasm) {
     {
-      PhaseTimer rpt(pr != nullptr ? &prof.report_s : nullptr);
+      run::PhaseTimer rpt(pr != nullptr ? &prof.report_s : nullptr);
       t.print(std::cout);
     }
     if (o.cache != nullptr) {
@@ -1191,7 +1079,7 @@ int main(int argc, char** argv) {
       }
     }
     if (!o.csv.empty()) {
-      PhaseTimer rpt(pr != nullptr ? &prof.report_s : nullptr);
+      run::PhaseTimer rpt(pr != nullptr ? &prof.report_s : nullptr);
       if (write_report_file(o.csv, t.to_csv())) {
         std::printf("wrote %s\n", o.csv.c_str());
       } else if (rc == sim::kExitOk) {
@@ -1204,18 +1092,13 @@ int main(int argc, char** argv) {
       // inside the JSON document itself. The element goes first, like the
       // trace-cache one: stripping lines containing "profile" recovers a
       // byte-identical no-profile report.
-      prof.print(o.sms);
+      prof.print(o.run.sms);
       if (jr != nullptr) {
-        json_reports.insert(json_reports.begin(), prof.to_json(o.sms));
+        json_reports.insert(json_reports.begin(), prof.to_json(o.run.sms));
       }
     }
     if (!o.json.empty()) {
-      std::string doc = "[";
-      for (std::size_t i = 0; i < json_reports.size(); ++i) {
-        doc += (i ? ",\n" : "\n") + json_reports[i];
-      }
-      doc += "\n]\n";
-      if (write_report_file(o.json, doc)) {
+      if (write_report_file(o.json, run::json_array(json_reports))) {
         std::printf("wrote %s\n", o.json.c_str());
       } else if (rc == sim::kExitOk) {
         rc = sim::kExitIo;
@@ -1224,12 +1107,7 @@ int main(int argc, char** argv) {
     if (!o.timeline.empty()) {
       // Chrome-trace JSON array format: a flat array of events, viewable in
       // chrome://tracing or ui.perfetto.dev.
-      std::string doc = "[";
-      for (std::size_t i = 0; i < trace_events.size(); ++i) {
-        doc += (i ? ",\n" : "\n") + trace_events[i];
-      }
-      doc += "\n]\n";
-      if (write_report_file(o.timeline, doc)) {
+      if (write_report_file(o.timeline, run::json_array(trace_events))) {
         std::printf("wrote %s\n", o.timeline.c_str());
       } else if (rc == sim::kExitOk) {
         rc = sim::kExitIo;
