@@ -45,6 +45,12 @@ struct IntCase {
   std::int64_t a, b, want;
 };
 
+// Without this gtest prints the raw bytes of the case, `name`'s address
+// included, so the listed test names would change from run to run.
+void PrintTo(const IntCase& c, std::ostream* os) {
+  *os << c.name << '(' << c.a << ", " << c.b << ") = " << c.want;
+}
+
 class IntOps : public ::testing::TestWithParam<IntCase> {};
 
 TEST_P(IntOps, ComputesExpectedValue) {
