@@ -31,6 +31,8 @@ class SpeculationHarness {
 
   std::uint64_t ops() const { return op_mispredicts_.total(); }
   std::uint64_t mispredicted_ops() const { return op_mispredicts_.hits(); }
+  std::uint64_t wrong_carry_bits() const { return bit_mispredicts_.hits(); }
+  std::uint64_t carry_bits() const { return bit_mispredicts_.total(); }
   std::uint64_t slice_recomputes() const { return slice_recomputes_; }
   double recomputes_per_misprediction() const {
     return mispredicted_ops()
