@@ -158,9 +158,7 @@ AddOutcome VlsaAdder::add(std::uint64_t a, std::uint64_t b, bool cin,
     const bool c = bit(aw + bw, window_bits_);
     if (c) pred |= std::uint8_t(1u << (s - 1));
   }
-  const std::uint8_t actual =
-      static_cast<std::uint8_t>(slice_carries(a, b, cin) &
-                                low_mask(num_slices - 1));
+  const std::uint8_t actual = spec::lane_record(a, b, cin, num_slices).actual;
   const std::uint8_t wrong = pred ^ actual;
 
   out.sum = exact_sum(a, b, cin, num_slices, &out.cout);

@@ -11,7 +11,6 @@
 #include "src/sim/functional.hpp"
 #include "src/sim/trace_run.hpp"
 #include "src/snapshot/serial.hpp"
-#include "src/spec/peek.hpp"
 #include "src/spec/predictor.hpp"
 
 namespace st2::sim {
@@ -59,19 +58,9 @@ void append_op(WarpStream& ws, const ExecRecord& rec, int line_bytes,
     t.payload = static_cast<std::uint32_t>(ws.adder_lanes.size());
     for (int lane = 0; lane < kWarpSize; ++lane) {
       if (((rec.active_mask >> lane) & 1u) == 0) continue;
-      const AdderMicroOp& mop = rec.adder[static_cast<std::size_t>(lane)];
-      const spec::PeekResult pk = spec::peek(mop.a, mop.b, mop.num_slices);
-      spec::AddOp op{};
-      op.a = mop.a;
-      op.b = mop.b;
-      op.cin = mop.cin;
-      op.num_slices = mop.num_slices;
-      AdderLaneTrace lt;
-      lt.peek_mask = pk.mask;
-      lt.peek_carries = pk.carries;
-      lt.actual = spec::actual_carries(op);
-      lt.num_slices = static_cast<std::uint8_t>(mop.num_slices);
-      ws.adder_lanes.push_back(lt);
+      const AdderMicroOp& m = rec.adder[static_cast<std::size_t>(lane)];
+      ws.adder_lanes.push_back(
+          spec::lane_record(m.a, m.b, m.cin, m.num_slices));
     }
   }
   ws.ops.push_back(t);

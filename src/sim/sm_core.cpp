@@ -580,10 +580,8 @@ int SmCore::speculate(const WarpStream& ws, const TraceOp& op, int latency) {
   while (lanes != 0) {
     const int lane = std::countr_zero(lanes);
     lanes &= lanes - 1;
-    const AdderLaneTrace& t = ws.adder_lanes[lane_idx++];
+    const spec::LaneRecord& t = ws.adder_lanes[lane_idx++];
     const int num_slices = t.num_slices;
-    const std::uint8_t rel =
-        static_cast<std::uint8_t>((1u << (num_slices - 1)) - 1);
 
     std::uint8_t hist = row[static_cast<std::size_t>(lane)];
     if (lane == flip_lane) {
@@ -593,14 +591,8 @@ int SmCore::speculate(const WarpStream& ws, const TraceOp& op, int latency) {
       ++counters_.faults_hist_flips;
     }
 
-    spec::Prediction pred{};
-    pred.peek_mask = t.peek_mask;
-    pred.dynamic_mask = static_cast<std::uint8_t>(rel & ~t.peek_mask);
-    pred.carries = static_cast<std::uint8_t>((t.peek_carries & t.peek_mask) |
-                                             (hist & pred.dynamic_mask));
-
-    const spec::SpeculationOutcome out =
-        spec::resolve_prediction(pred, t.actual, num_slices);
+    const spec::SpeculationOutcome out = spec::resolve_prediction(
+        spec::compose_prediction(hist, t), t.actual, num_slices);
 
     ++counters_.adder_thread_ops;
     slice_computes += static_cast<std::uint64_t>(num_slices);
@@ -635,10 +627,9 @@ int SmCore::speculate(const WarpStream& ws, const TraceOp& op, int latency) {
       // they own into the shared 7-bit entry. The write lands at this
       // instruction's write-back stage (issue + latency + recovery cycle),
       // where it arbitrates against whatever else retires that cycle.
-      const std::uint8_t merged =
-          static_cast<std::uint8_t>((hist & ~rel) | out.actual);
-      pending_crf_.push_back(PendingCrfWrite{
-          due, op.pc, static_cast<std::uint8_t>(lane), merged});
+      pending_crf_.push_back(
+          PendingCrfWrite{due, op.pc, static_cast<std::uint8_t>(lane),
+                          spec::merge_history(hist, t)});
       ++counters_.crf_writes;
     }
   }

@@ -37,6 +37,7 @@
 #include "src/sim/memory.hpp"
 #include "src/sim/op_timing.hpp"
 #include "src/spec/crf.hpp"
+#include "src/spec/predictor.hpp"
 
 namespace st2::sim {
 
@@ -63,22 +64,14 @@ struct TraceOp {
   bool writes_reg() const { return (flags & kWritesReg) != 0; }
 };
 
-/// Pre-resolved carry-speculation inputs for one active lane of an adder
-/// instruction: the Peek result and the ground-truth carries are functions
-/// of the operand values only, so capture computes them once and replay
-/// combines them with the (timing-dependent) CRF history.
-struct AdderLaneTrace {
-  std::uint8_t peek_mask = 0;
-  std::uint8_t peek_carries = 0;
-  std::uint8_t actual = 0;
-  std::uint8_t num_slices = 0;
-};
-
 /// The recorded instruction stream of one warp, in program-execution order.
 struct WarpStream {
   std::vector<TraceOp> ops;
   std::vector<std::uint64_t> lines;        ///< coalesced line addresses
-  std::vector<AdderLaneTrace> adder_lanes; ///< per (op, active lane) order
+  /// Per (op, active lane), in order. Peek and the ground truth are
+  /// functions of the operands only, so capture derives them once and
+  /// replay combines them with the (timing-dependent) CRF history.
+  std::vector<spec::LaneRecord> adder_lanes;
 };
 
 /// One thread block's warps, ready for admission to an SM.

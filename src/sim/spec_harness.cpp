@@ -5,13 +5,22 @@
 
 namespace st2::sim {
 
+namespace {
+
+/// Global thread id of `lane` in a record, for blocks of `block_size`.
+std::uint32_t lane_gtid(const ExecRecord& rec, int lane, int block_size) {
+  return static_cast<std::uint32_t>(rec.block_flat) *
+             static_cast<std::uint32_t>(block_size) +
+         static_cast<std::uint32_t>(rec.warp_in_block * kWarpSize + lane);
+}
+
+}  // namespace
+
 spec::AddOp make_add_op(const ExecRecord& rec, int lane, int block_size) {
   const AdderMicroOp& m = rec.adder[static_cast<std::size_t>(lane)];
   spec::AddOp op;
   op.pc = rec.pc;
-  op.gtid = static_cast<std::uint32_t>(rec.block_flat) *
-                static_cast<std::uint32_t>(block_size) +
-            static_cast<std::uint32_t>(rec.warp_in_block * kWarpSize + lane);
+  op.gtid = lane_gtid(rec, lane, block_size);
   op.ltid = static_cast<std::uint32_t>(lane);
   op.a = m.a;
   op.b = m.b;
@@ -22,68 +31,32 @@ spec::AddOp make_add_op(const ExecRecord& rec, int lane, int block_size) {
 
 void SpeculationHarness::feed(const ExecRecord& rec) {
   if (!rec.has_adder_op) return;
-  // Stage 1: every active lane predicts against the pre-instruction table
-  // state (one CRF row read serves the whole warp).
-  std::array<spec::AddOp, kWarpSize> ops;
-  std::array<spec::Prediction, kWarpSize> preds;
-  for (int lane = 0; lane < kWarpSize; ++lane) {
-    if (((rec.active_mask >> lane) & 1u) == 0) continue;
-    ops[static_cast<std::size_t>(lane)] = make_add_op(rec, lane, 1024);
-    preds[static_cast<std::size_t>(lane)] =
-        speculator_.predict(ops[static_cast<std::size_t>(lane)]);
+  // Register-read stage: every active lane reads its pattern against the
+  // pre-instruction table state (one CRF row read serves the whole warp).
+  std::array<std::uint64_t, kWarpSize> keys;
+  std::array<std::uint8_t, kWarpSize> row;
+  for (std::uint32_t lanes = rec.active_mask; lanes != 0; lanes &= lanes - 1) {
+    const int lane = std::countr_zero(lanes);
+    const auto l = static_cast<std::size_t>(lane);
+    keys[l] = speculator_.key(rec.pc, lane_gtid(rec, lane, 1024),
+                              static_cast<std::uint32_t>(lane));
+    row[l] = speculator_.pattern(keys[l]);
   }
-  // Stage 2: outcomes resolve and train at write-back.
-  for (int lane = 0; lane < kWarpSize; ++lane) {
-    if (((rec.active_mask >> lane) & 1u) == 0) continue;
-    const auto& op = ops[static_cast<std::size_t>(lane)];
-    const spec::SpeculationOutcome out =
-        speculator_.resolve(op, preds[static_cast<std::size_t>(lane)]);
+  // Write-back stage, lane by lane: compose, resolve, count, train.
+  for (std::uint32_t lanes = rec.active_mask; lanes != 0; lanes &= lanes - 1) {
+    const auto l = static_cast<std::size_t>(std::countr_zero(lanes));
+    const AdderMicroOp& m = rec.adder[l];
+    const spec::LaneRecord t = speculator_.lane(m.a, m.b, m.cin, m.num_slices);
+    const spec::SpeculationOutcome out = spec::resolve_prediction(
+        spec::compose_prediction(row[l], t), t.actual, t.num_slices);
     op_mispredicts_.record(out.any_misprediction());
     bit_mispredicts_.record(
         static_cast<std::uint64_t>(
             std::popcount(static_cast<unsigned>(out.mispredicted))),
-        static_cast<std::uint64_t>(op.num_slices - 1));
+        static_cast<std::uint64_t>(t.num_slices - 1));
     slice_recomputes_ += static_cast<std::uint64_t>(out.recompute_count());
+    speculator_.train(keys[l], t, out.any_misprediction());
   }
-}
-
-void PolicyHarness::feed(const ExecRecord& rec) {
-  if (!rec.has_adder_op) return;
-  // Register-read stage: one policy row read serves the whole warp, before
-  // any lane's outcome can train the tables — same ordering as SmCore.
-  const auto row = predictor_->read_row(rec.pc);
-  for (int lane = 0; lane < kWarpSize; ++lane) {
-    if (((rec.active_mask >> lane) & 1u) == 0) continue;
-    const spec::AddOp op = make_add_op(rec, lane, 1024);
-    const std::uint8_t rel =
-        static_cast<std::uint8_t>((1u << (op.num_slices - 1)) - 1);
-    const spec::PeekResult pk = spec::peek(op.a, op.b, op.num_slices);
-    const std::uint8_t hist = row[static_cast<std::size_t>(lane)];
-
-    spec::Prediction pred{};
-    pred.peek_mask = pk.mask;
-    pred.dynamic_mask = static_cast<std::uint8_t>(rel & ~pk.mask);
-    pred.carries = static_cast<std::uint8_t>((pk.carries & pk.mask) |
-                                             (hist & pred.dynamic_mask));
-
-    const spec::SpeculationOutcome out =
-        spec::resolve_prediction(pred, spec::actual_carries(op),
-                                 op.num_slices);
-    op_mispredicts_.record(out.any_misprediction());
-    bit_mispredicts_.record(
-        static_cast<std::uint64_t>(
-            std::popcount(static_cast<unsigned>(out.mispredicted))),
-        static_cast<std::uint64_t>(op.num_slices - 1));
-    slice_recomputes_ += static_cast<std::uint64_t>(out.recompute_count());
-
-    // Write-back: mispredicting lanes merge the bits they own into the
-    // shared entry (hist & ~rel keeps slices this op never exercised).
-    if (out.any_misprediction()) {
-      predictor_->request_write(
-          rec.pc, lane, static_cast<std::uint8_t>((hist & ~rel) | out.actual));
-    }
-  }
-  predictor_->commit_cycle();
 }
 
 }  // namespace st2::sim

@@ -1,16 +1,16 @@
 // Warp-level carry-speculation measurement harness for the design-space
 // figures (3, 5, 6). Feeds a CarrySpeculator from trace-mode ExecRecords
-// with hardware-faithful timing: all 32 lanes of a warp instruction read
-// their predictions *before* any lane's outcome trains the tables (the CRF
-// row is read once in the register-read stage; updates land at write-back).
+// in the same shape as the replay core's issue path (SmCore::speculate):
+// all active lanes of a warp instruction read their history patterns
+// *before* any lane's outcome trains the tables (the CRF row is read once in
+// the register-read stage; updates land at write-back), then each lane in
+// order composes its prediction, resolves it and trains.
 #pragma once
 
-#include <memory>
-#include <vector>
+#include <cstdint>
 
 #include "src/common/stats.hpp"
 #include "src/sim/functional.hpp"
-#include "src/spec/policy.hpp"
 #include "src/spec/predictor.hpp"
 
 namespace st2::sim {
@@ -51,41 +51,5 @@ class SpeculationHarness {
 
 /// Builds the spec::AddOp for one lane of a record.
 spec::AddOp make_add_op(const ExecRecord& rec, int lane, int block_size);
-
-/// Trace-mode measurement harness for the pluggable predictor zoo: drives a
-/// `spec::CarryPredictor` policy through the exact predict → detect → repair
-/// → train sequence the timing simulator's SM core runs (row read before any
-/// lane resolves, peek bits pinned, mispredicting lanes merging the true
-/// pattern back, one commit_cycle per warp instruction), but fed directly
-/// from trace-mode ExecRecords. This is how a candidate policy's raw
-/// mispredict rate is measured on the Figure 3/5 axes before it earns a full
-/// timing/energy run.
-class PolicyHarness {
- public:
-  explicit PolicyHarness(const spec::PredictorConfig& cfg,
-                         std::uint64_t seed = 0)
-      : predictor_(spec::make_predictor(cfg, seed)) {}
-
-  /// Processes one executed warp instruction (no-op unless it carries adder
-  /// micro-ops).
-  void feed(const ExecRecord& rec);
-
-  /// Thread-level misprediction rate: mispredicted adds / total adds.
-  double op_misprediction_rate() const { return op_mispredicts_.rate(); }
-  /// Per-slice carry-in match rate (Figure 3's metric).
-  double bit_match_rate() const { return 1.0 - bit_mispredicts_.rate(); }
-
-  std::uint64_t ops() const { return op_mispredicts_.total(); }
-  std::uint64_t mispredicted_ops() const { return op_mispredicts_.hits(); }
-  std::uint64_t slice_recomputes() const { return slice_recomputes_; }
-
-  const spec::CarryPredictor& predictor() const { return *predictor_; }
-
- private:
-  std::unique_ptr<spec::CarryPredictor> predictor_;
-  RatioCounter op_mispredicts_;   // hit = mispredicted
-  RatioCounter bit_mispredicts_;  // hit = wrong carry bit
-  std::uint64_t slice_recomputes_ = 0;
-};
 
 }  // namespace st2::sim

@@ -17,6 +17,12 @@
 
 namespace st2::spec {
 
+/// The prediction bits an add with `num_slices` slices owns: bit s-1 for
+/// each slice s = 1..num_slices-1 (slice 0's carry-in is the add's own cin).
+constexpr std::uint8_t relevant_mask(int num_slices) {
+  return static_cast<std::uint8_t>((1u << (num_slices - 1)) - 1u);
+}
+
 struct PeekResult {
   std::uint8_t mask = 0;     ///< bit s-1 set: slice s's carry-in is certain
   std::uint8_t carries = 0;  ///< the certain carry value, where mask is set
@@ -46,8 +52,7 @@ constexpr PeekResult peek_reference(std::uint64_t a, std::uint64_t b,
 /// (property-tested); this is the form both capture and replay run.
 constexpr PeekResult peek(std::uint64_t a, std::uint64_t b, int num_slices) {
   static_assert(kSliceBits == 8, "byte-gather packing assumes 8-bit slices");
-  const std::uint8_t rel =
-      static_cast<std::uint8_t>(low_mask(num_slices - 1));
+  const std::uint8_t rel = relevant_mask(num_slices);
   PeekResult r{};
   r.mask = static_cast<std::uint8_t>(pack_byte_msbs(~(a ^ b)) & rel);
   r.carries = static_cast<std::uint8_t>(pack_byte_msbs(a) & r.mask);

@@ -8,21 +8,6 @@ namespace st2::spec {
 
 namespace {
 
-constexpr std::uint8_t kValidBit = 0x80;
-
-/// Mask of prediction bits relevant for an op with `num_slices` slices.
-constexpr std::uint8_t relevant_mask(int num_slices) {
-  return static_cast<std::uint8_t>((1u << (num_slices - 1)) - 1);
-}
-
-/// VaLHALLA's broadcast history bit: whether the last add's carry chain was
-/// long enough to cross any slice boundary ("history aware local-carry").
-/// Broadcasting 1 after a long-chain add captures the dominant long-chain
-/// case — sign-propagating subtractions whose upper-slice carries are all 1.
-bool long_chain_bit(std::uint8_t pattern, int n) {
-  return (pattern & ((1u << n) - 1u)) != 0;
-}
-
 std::uint64_t fold_xor(std::uint64_t pc, int k) {
   const std::uint64_t mask = (std::uint64_t{1} << k) - 1;
   std::uint64_t h = 0;
@@ -45,64 +30,54 @@ std::uint8_t actual_carries_reference(const AddOp& op) {
   return packed;
 }
 
-CarrySpeculator::CarrySpeculator(const SpeculationConfig& cfg) : cfg_(cfg) {}
-
-std::uint64_t CarrySpeculator::table_key(const AddOp& op) const {
+std::uint64_t CarrySpeculator::key(std::uint64_t pc, std::uint32_t gtid,
+                                   std::uint32_t ltid) const {
+  ST2_EXPECTS(ltid < 32);
   std::uint64_t pc_part = 0;
   switch (cfg_.pc) {
     case PcIndexing::kNone: pc_part = 0; break;
-    case PcIndexing::kFull: pc_part = op.pc; break;
+    case PcIndexing::kFull: pc_part = pc; break;
     case PcIndexing::kModK:
-      pc_part = op.pc & ((std::uint64_t{1} << cfg_.pc_bits) - 1);
+      pc_part = pc & ((std::uint64_t{1} << cfg_.pc_bits) - 1);
       break;
-    case PcIndexing::kXorHash: pc_part = fold_xor(op.pc, cfg_.pc_bits); break;
+    case PcIndexing::kXorHash: pc_part = fold_xor(pc, cfg_.pc_bits); break;
   }
   std::uint64_t tid_part = 0;
   switch (cfg_.scope) {
     case ThreadScope::kShared: tid_part = 0; break;
-    case ThreadScope::kGlobalTid: tid_part = op.gtid; break;
-    case ThreadScope::kLocalTid: tid_part = op.ltid; break;
+    case ThreadScope::kGlobalTid: tid_part = gtid; break;
+    case ThreadScope::kLocalTid: tid_part = ltid; break;
   }
   ST2_ASSERT(pc_part < (std::uint64_t{1} << 32));
   return (tid_part << 32) | pc_part;
 }
 
-Prediction CarrySpeculator::predict(const AddOp& op) const {
-  ST2_EXPECTS(op.num_slices >= 2 && op.num_slices <= kNumSlices);
-  ST2_EXPECTS(op.ltid < 32);
-  const std::uint8_t rel = relevant_mask(op.num_slices);
-
-  Prediction p{};
-  if (cfg_.peek) {
-    const PeekResult pk = peek(op.a, op.b, op.num_slices);
-    p.peek_mask = pk.mask;
-    p.carries = pk.carries;
-  }
-
-  std::uint8_t dyn = 0;
+void CarrySpeculator::train(std::uint64_t key, const LaneRecord& lane,
+                            bool mispredicted) {
   switch (cfg_.base) {
-    case BasePolicy::kStaticZero: dyn = 0; break;
-    case BasePolicy::kStaticOne: dyn = rel; break;
-    case BasePolicy::kValhalla: {
-      const auto it = table_.find(table_key(op));
-      const bool b = (it != table_.end() && (it->second & kValidBit) != 0)
-                         ? (it->second & 1) != 0
-                         : false;
-      dyn = b ? rel : 0;
+    case BasePolicy::kStaticZero:
+    case BasePolicy::kStaticOne:
       break;
-    }
+    case BasePolicy::kValhalla:
+      table_[key] = lane.actual != 0 ? 0x7f : 0;
+      break;
     case BasePolicy::kPrev: {
-      const auto it = table_.find(table_key(op));
-      dyn = (it != table_.end() && (it->second & kValidBit) != 0)
-                ? static_cast<std::uint8_t>(it->second & 0x7f)
-                : 0;
+      const auto [it, first_touch] = table_.try_emplace(key, 0);
+      if (mispredicted || first_touch || cfg_.always_write) {
+        it->second = merge_history(it->second, lane);
+      }
       break;
     }
   }
-  p.dynamic_mask = static_cast<std::uint8_t>(rel & ~p.peek_mask);
-  p.carries = static_cast<std::uint8_t>((p.carries & p.peek_mask) |
-                                        (dyn & p.dynamic_mask));
-  return p;
+}
+
+SpeculationOutcome CarrySpeculator::resolve(const AddOp& op,
+                                            const Prediction& pred) {
+  const LaneRecord l = lane(op.a, op.b, op.cin, op.num_slices);
+  const SpeculationOutcome out =
+      resolve_prediction(pred, l.actual, op.num_slices);
+  train(key(op.pc, op.gtid, op.ltid), l, out.any_misprediction());
+  return out;
 }
 
 SpeculationOutcome resolve_prediction_reference(const Prediction& pred,
@@ -122,41 +97,6 @@ SpeculationOutcome resolve_prediction_reference(const Prediction& pred,
         static_cast<std::uint8_t>(rel & ~((1u << lowest) - 1u));
     out.recompute_mask =
         static_cast<std::uint8_t>(at_or_above & ~pred.peek_mask);
-  }
-  return out;
-}
-
-SpeculationOutcome CarrySpeculator::resolve(const AddOp& op,
-                                            const Prediction& pred) {
-  const std::uint8_t rel = relevant_mask(op.num_slices);
-  SpeculationOutcome out =
-      resolve_prediction(pred, actual_carries(op), op.num_slices);
-
-  // Train.
-  switch (cfg_.base) {
-    case BasePolicy::kStaticZero:
-    case BasePolicy::kStaticOne:
-      break;
-    case BasePolicy::kValhalla:
-      table_[table_key(op)] = static_cast<std::uint8_t>(
-          kValidBit |
-          (long_chain_bit(out.actual, op.num_slices - 1) ? 1 : 0));
-      break;
-    case BasePolicy::kPrev:
-      // Only mispredicting threads write back (Section IV-C). Also claim the
-      // entry on first touch so a cold entry doesn't stay cold forever when
-      // the zero-prediction happened to be right.
-      if (out.mispredicted != 0 || cfg_.always_write ||
-          !table_.contains(table_key(op))) {
-        // Merge: a narrow op (e.g. a 3-slice FP32 mantissa add) only owns the
-        // low prediction bits of the shared 7-bit entry.
-        std::uint8_t& e = table_[table_key(op)];
-        const std::uint8_t old = (e & kValidBit) != 0
-                                     ? static_cast<std::uint8_t>(e & 0x7f)
-                                     : std::uint8_t{0};
-        e = static_cast<std::uint8_t>(kValidBit | (old & ~rel) | out.actual);
-      }
-      break;
   }
   return out;
 }

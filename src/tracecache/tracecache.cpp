@@ -35,7 +35,7 @@ std::size_t entry_bytes(const CanonicalCapture& cap) {
       n += sizeof(sim::WarpStream);
       n += ws.ops.size() * sizeof(sim::TraceOp);
       n += ws.lines.size() * sizeof(std::uint64_t);
-      n += ws.adder_lanes.size() * sizeof(sim::AdderLaneTrace);
+      n += ws.adder_lanes.size() * sizeof(spec::LaneRecord);
     }
   }
   return n;
@@ -138,14 +138,14 @@ std::string serialize_capture(const CanonicalCapture& cap,
       w.u32(static_cast<std::uint32_t>(ws.lines.size()));
       for (const std::uint64_t line : ws.lines) w.u64(line);
       // The lane pool is by far the largest stream for adder-heavy kernels;
-      // AdderLaneTrace is four contiguous u8 fields, so a bulk raw write
+      // LaneRecord is four contiguous u8 fields, so a bulk raw write
       // produces exactly the bytes the per-field loop would (and the
       // matching bulk read makes warm hits cheap).
-      static_assert(sizeof(sim::AdderLaneTrace) == 4);
+      static_assert(sizeof(spec::LaneRecord) == 4);
       w.u32(static_cast<std::uint32_t>(ws.adder_lanes.size()));
       w.raw(std::string_view(
           reinterpret_cast<const char*>(ws.adder_lanes.data()),
-          ws.adder_lanes.size() * sizeof(sim::AdderLaneTrace)));
+          ws.adder_lanes.size() * sizeof(spec::LaneRecord)));
     }
   }
   w.u64(cap.final_mem.size());
@@ -201,9 +201,9 @@ CanonicalCapture deserialize_capture(std::string_view payload,
                 "adder-lane count overruns the payload");
       ws.adder_lanes.resize(num_adder);
       const std::string_view lanes =
-          r.raw(num_adder * sizeof(sim::AdderLaneTrace));
+          r.raw(num_adder * sizeof(spec::LaneRecord));
       std::memcpy(ws.adder_lanes.data(), lanes.data(), lanes.size());
-      for (const sim::AdderLaneTrace& lt : ws.adder_lanes) {
+      for (const spec::LaneRecord& lt : ws.adder_lanes) {
         r.require(lt.num_slices >= 1 && lt.num_slices <= 8,
                   "adder slice count out of range");
       }

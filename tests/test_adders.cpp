@@ -58,7 +58,7 @@ TEST(CslaAdderTest, CostsMoreThanTwoSliceSetsMinusOne) {
   spec::Prediction perfect;
   perfect.dynamic_mask = 0;
   perfect.peek_mask = 0x7f;
-  perfect.carries = spec::actual_carries(make_op(123456, 654321));
+  perfect.carries = spec::lane_record(123456, 654321, false, 8).actual;
   perfect.peek_mask = 0x7f;
   spec::SpeculationOutcome ok{};
   ok.actual = perfect.carries;
@@ -222,7 +222,7 @@ TEST(St2AdderTest, MispredictionCostsEnergyAndLatency) {
   spec::Prediction wrong;
   wrong.dynamic_mask = 0x7f;
   wrong.carries = 0;
-  const std::uint8_t actual = spec::actual_carries(make_op(0xFF, 0x01));
+  const std::uint8_t actual = spec::lane_record(0xFF, 0x01, false, 8).actual;
   const spec::SpeculationOutcome out =
       spec::resolve_prediction(wrong, actual, 8);
   ASSERT_TRUE(out.any_misprediction());

@@ -3,6 +3,7 @@
 // admission, CRF speculation accounting, deterministic replay).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -199,32 +200,76 @@ TEST(SmCore, OversizedSharedMemoryFailsFast) {
 }
 
 TEST(SmCore, SpeculationCountersAreInternallyConsistent) {
-  KernelBuilder kb("spec");
-  const Reg out = kb.param(0);
-  const Reg acc = kb.imm(1);
-  kb.for_range(kb.imm(0), kb.imm(16), 1, [&](Reg i) {
-    kb.iadd_to(acc, acc, kb.imul(i, kb.gtid()));
-  });
-  kb.st_global(kb.element_addr(out, kb.gtid(), 8), acc);
-  kb.exit();
-  const isa::Kernel k = kb.build();
+  // Two kernels: per-thread-varying adds (lanes disagree, rows alias) and a
+  // predictable accumulation every learning policy should converge on.
+  auto varying = [] {
+    KernelBuilder kb("spec");
+    const Reg out = kb.param(0);
+    const Reg acc = kb.imm(1);
+    kb.for_range(kb.imm(0), kb.imm(16), 1, [&](Reg i) {
+      kb.iadd_to(acc, acc, kb.imul(i, kb.gtid()));
+    });
+    kb.st_global(kb.element_addr(out, kb.gtid(), 8), acc);
+    kb.exit();
+    return kb.build();
+  };
+  auto accumulate = [] {
+    KernelBuilder kb("acc");
+    const Reg out = kb.param(0);
+    const Reg acc = kb.imm(0);
+    const Reg step = kb.imm(3);
+    kb.for_range(kb.imm(0), kb.imm(200), 1,
+                 [&](Reg) { kb.iadd_to(acc, acc, step); });
+    kb.st_global(kb.element_addr(out, kb.gtid(), 8), acc);
+    kb.exit();
+    return kb.build();
+  };
+  const isa::Kernel kernels[] = {varying(), accumulate()};
 
-  const GpuConfig cfg = one_sm(/*st2=*/true);
-  GlobalMemory mem;
-  const std::uint64_t buf = mem.alloc(8 * 256);
-  const SmWorkload w = capture_one(cfg, k, launch_1d(256, 64, {buf}), mem);
-  SmCore core(cfg, k, w);
-  const EventCounters c = core.run();
+  // Every --spec-policy, the static one wired to a profile pattern that
+  // mismatches the accumulation stream.
+  std::map<std::string, double> acc_rate;
+  std::uint64_t ref_ops[2] = {0, 0};
+  for (const char* policy : {"crf", "mru", "tage", "static,pattern=85"}) {
+    GpuConfig cfg = one_sm(/*st2=*/true);
+    cfg.predictor = spec::PredictorConfig::parse(policy);
+    for (int i = 0; i < 2; ++i) {
+      GlobalMemory mem;
+      const std::uint64_t buf = mem.alloc(8 * 256);
+      const LaunchConfig lc =
+          i == 0 ? launch_1d(256, 64, {buf}) : launch_1d(32, 32, {buf});
+      const SmWorkload w = capture_one(cfg, kernels[i], lc, mem);
+      SmCore core(cfg, kernels[i], w);
+      const EventCounters c = core.run();
+      SCOPED_TRACE(std::string(policy) + " on " + kernels[i].name);
 
-  EXPECT_GT(c.warp_adder_insts, 0u);
-  EXPECT_GT(c.adder_thread_ops, 0u);
-  // Every mispredicting lane requests exactly one CRF write-back.
-  EXPECT_EQ(c.crf_writes, c.adder_mispredicts);
-  // A warp stalls at most once per adder instruction.
-  EXPECT_LE(c.warp_adder_stalls, c.warp_adder_insts);
-  // Each adder warp instruction reads its CRF row exactly once.
-  EXPECT_EQ(c.crf_row_reads, c.warp_adder_insts);
-  EXPECT_LE(c.adder_mispredicts, c.adder_thread_ops);
+      EXPECT_GT(c.warp_adder_insts, 0u);
+      EXPECT_GT(c.adder_thread_ops, 0u);
+      // The op stream is architectural: no policy changes what it counts.
+      if (ref_ops[i] == 0) ref_ops[i] = c.adder_thread_ops;
+      EXPECT_EQ(c.adder_thread_ops, ref_ops[i]);
+      // Every mispredicting lane requests exactly one CRF write-back, and
+      // each request lands as a lane write or loses arbitration.
+      EXPECT_EQ(c.crf_writes, c.adder_mispredicts);
+      EXPECT_EQ(core.crf().pending_writes(), 0u);
+      EXPECT_EQ(core.crf().lane_writes() + core.crf().write_conflicts(),
+                c.crf_writes);
+      EXPECT_TRUE(core.crf().entries_valid());
+      // A warp stalls at most once per adder instruction.
+      EXPECT_LE(c.warp_adder_stalls, c.warp_adder_insts);
+      // Each adder warp instruction reads its CRF row exactly once.
+      EXPECT_EQ(c.crf_row_reads, c.warp_adder_insts);
+      EXPECT_EQ(core.crf().row_reads(), c.crf_row_reads);
+      EXPECT_LE(c.adder_mispredicts, c.adder_thread_ops);
+      if (i == 1) acc_rate[policy] = c.adder_misprediction_rate();
+    }
+  }
+  // The trainable policies converge on the predictable stream; the
+  // mismatched static pattern keeps only what the Peek bits rescue.
+  EXPECT_LT(acc_rate["crf"], 0.20);
+  EXPECT_LT(acc_rate["mru"], 0.35);
+  EXPECT_LT(acc_rate["crf"], acc_rate["static,pattern=85"]);
+  EXPECT_LT(acc_rate["mru"], acc_rate["static,pattern=85"]);
 }
 
 TEST(SmCore, ReplayIsDeterministic) {

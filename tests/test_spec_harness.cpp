@@ -87,60 +87,5 @@ TEST(SpecHarness, RecomputeAccountingMatchesOutcome) {
   EXPECT_GE(h.slice_recomputes(), h.mispredicted_ops());
 }
 
-TEST(PolicyHarness, EveryZooPolicySeesTheSameOpStream) {
-  // The op stream a predictor measures is architectural — it cannot depend
-  // on which policy is plugged in. Every zoo policy must count the same
-  // adds, read one row per warp adder instruction, and satisfy the write
-  // accounting invariant (every queued request is a lane write, a conflict
-  // loss, or still pending — and after the final commit, nothing pends).
-  const isa::Kernel k = acc_kernel(40);
-  const char* kSpecs[] = {"crf", "mru", "tage", "static,pattern=21"};
-  std::uint64_t ref_ops = 0;
-  std::uint64_t adder_warp_insts = 0;
-  for (const char* spec : kSpecs) {
-    GlobalMemory mem;
-    const std::uint64_t out = mem.alloc(8 * 64);
-    PolicyHarness h(spec::PredictorConfig::parse(spec), /*seed=*/7);
-    std::uint64_t warp_insts = 0;
-    trace_run(k, launch_1d(64, 32, {out}), mem, [&](const ExecRecord& rec) {
-      h.feed(rec);
-      if (rec.has_adder_op) ++warp_insts;
-    });
-    if (ref_ops == 0) {
-      ref_ops = h.ops();
-      adder_warp_insts = warp_insts;
-    }
-    EXPECT_EQ(h.ops(), ref_ops) << spec;
-    EXPECT_EQ(h.predictor().row_reads(), adder_warp_insts) << spec;
-    EXPECT_EQ(h.predictor().pending_writes(), 0u) << spec;
-    EXPECT_EQ(h.predictor().lane_writes() + h.predictor().write_conflicts(),
-              h.mispredicted_ops())
-        << spec;
-    EXPECT_TRUE(h.predictor().entries_valid()) << spec;
-  }
-}
-
-TEST(PolicyHarness, LearningPoliciesBeatAMismatchedStaticPattern) {
-  // On a predictable accumulation stream the trainable policies must
-  // converge, while a static policy wired to the wrong profile pattern
-  // stays stuck with whatever the peek bits alone can rescue.
-  const isa::Kernel k = acc_kernel(200);
-  auto rate = [&](const char* spec) {
-    GlobalMemory mem;
-    const std::uint64_t out = mem.alloc(8 * 32);
-    PolicyHarness h(spec::PredictorConfig::parse(spec), /*seed=*/7);
-    trace_run(k, launch_1d(32, 32, {out}), mem,
-              [&](const ExecRecord& rec) { h.feed(rec); });
-    return h.op_misprediction_rate();
-  };
-  const double r_crf = rate("crf");
-  const double r_mru = rate("mru");
-  const double r_static = rate("static,pattern=85");
-  EXPECT_LT(r_crf, 0.20);
-  EXPECT_LT(r_mru, 0.35);
-  EXPECT_LT(r_crf, r_static);
-  EXPECT_LT(r_mru, r_static);
-}
-
 }  // namespace
 }  // namespace st2::sim

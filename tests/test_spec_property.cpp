@@ -88,25 +88,26 @@ TEST(SpecProperty, PredictDetectRepairAlwaysYieldsTheExactSum) {
     // core's bit-identity rests on.
     const PeekResult pk_ref = peek_reference(a, b, num_slices);
 
-    // Build the prediction exactly as SmCore::speculate does: statically
-    // certain slices from Peek, everything else from (random) history.
-    const PeekResult pk = peek(a, b, num_slices);
-    ASSERT_EQ(pk.mask, pk_ref.mask)
+    // Build the prediction exactly as SmCore::speculate does: the lane
+    // record's Peek bits pinned, everything else from (random) history.
+    const LaneRecord lane = lane_record(a, b, cin, num_slices);
+    ASSERT_EQ(lane.peek_mask, pk_ref.mask)
         << "a=" << a << " b=" << b << " slices=" << num_slices;
-    ASSERT_EQ(pk.carries, pk_ref.carries)
+    ASSERT_EQ(lane.peek_carries, pk_ref.carries)
         << "a=" << a << " b=" << b << " slices=" << num_slices;
-    Prediction pred{};
-    pred.peek_mask = static_cast<std::uint8_t>(pk.mask & rel);
-    pred.dynamic_mask = static_cast<std::uint8_t>(rel & ~pred.peek_mask);
-    pred.carries = static_cast<std::uint8_t>((pk.carries & pred.peek_mask) |
-                                             (hist & pred.dynamic_mask));
+    const Prediction pred = compose_prediction(hist, lane);
+    ASSERT_EQ(pred.dynamic_mask,
+              static_cast<std::uint8_t>(rel & ~pk_ref.mask));
+    ASSERT_EQ(pred.carries,
+              static_cast<std::uint8_t>((pk_ref.carries & pk_ref.mask) |
+                                        (hist & rel & ~pk_ref.mask)));
 
     AddOp op{};
     op.a = a;
     op.b = b;
     op.cin = cin;
     op.num_slices = num_slices;
-    const std::uint8_t actual = actual_carries(op);
+    const std::uint8_t actual = lane.actual;
     ASSERT_EQ(actual, actual_carries_reference(op))
         << "a=" << a << " b=" << b << " cin=" << cin
         << " slices=" << num_slices;
@@ -119,6 +120,9 @@ TEST(SpecProperty, PredictDetectRepairAlwaysYieldsTheExactSum) {
     ASSERT_EQ(out.recompute_mask, out_ref.recompute_mask)
         << "a=" << a << " b=" << b << " cin=" << cin
         << " slices=" << num_slices << " hist=" << int(hist);
+    // Write-back keeps the history bits this add does not own.
+    ASSERT_EQ(merge_history(hist, lane),
+              static_cast<std::uint8_t>((hist & ~rel) | out.actual));
 
     const std::uint64_t width_mask = low_mask(num_slices * kSliceBits);
     const std::uint64_t exact = (a + b + (cin ? 1u : 0u)) & width_mask;
@@ -196,19 +200,9 @@ TEST_P(SpecPolicyProperty, LivePolicyPredictionsAlwaysRepairToTheExactSum) {
 
     // Exactly SmCore::speculate's prediction assembly: statically certain
     // slices from Peek, the rest from the policy's row.
-    const PeekResult pk = peek(a, b, num_slices);
-    Prediction pred{};
-    pred.peek_mask = static_cast<std::uint8_t>(pk.mask & rel);
-    pred.dynamic_mask = static_cast<std::uint8_t>(rel & ~pred.peek_mask);
-    pred.carries = static_cast<std::uint8_t>((pk.carries & pred.peek_mask) |
-                                             (hist & pred.dynamic_mask));
-
-    AddOp op{};
-    op.a = a;
-    op.b = b;
-    op.cin = cin;
-    op.num_slices = num_slices;
-    const std::uint8_t actual = actual_carries(op);
+    const LaneRecord rec = lane_record(a, b, cin, num_slices);
+    const Prediction pred = compose_prediction(hist, rec);
+    const std::uint8_t actual = rec.actual;
     const SpeculationOutcome out =
         resolve_prediction(pred, actual, num_slices);
 
@@ -224,9 +218,9 @@ TEST_P(SpecPolicyProperty, LivePolicyPredictionsAlwaysRepairToTheExactSum) {
         << " slices=" << num_slices << " hist=" << int(hist);
 
     // Train exactly like write-back: only mispredicting lanes queue the
-    // true pattern.
+    // true pattern, merged into the row they read.
     if (out.mispredicted != 0) {
-      policy->request_write(pc, lane, static_cast<std::uint8_t>(actual & 0x7f));
+      policy->request_write(pc, lane, merge_history(hist, rec));
       ++requested;
     }
     if (rng.next_below(4) == 0) policy->commit_cycle();
