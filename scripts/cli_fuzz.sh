@@ -91,6 +91,21 @@ expect_code 2 run pathfinder --spec-policy mru
 expect_code 2 run pathfinder --st2 --spec-policy mru --trace
 expect_code 2 run pathfinder --st2 --spec-policy mru --disasm
 
+# --- --spec names a Figure 5 lattice point and applies to --trace only -----
+expect_code 2 run pathfinder --spec bogus
+expect_code 2 run pathfinder --st2 --spec Prev+Peek
+expect_code 2 run pathfinder --trace --spec
+expect_code 2 run pathfinder --trace --spec ""
+expect_code 2 run pathfinder --trace --spec bogus
+# an unknown point is reported once, before any kernel is prepared
+spec_out=$("$ST2SIM" run all --trace --spec bogus 2>&1)
+spec_rc=$?
+spec_errs=$(printf '%s\n' "$spec_out" | grep -c "unknown --spec")
+if [ "$spec_rc" -ne 2 ] || [ "$spec_errs" -ne 1 ]; then
+    echo "FAIL: run all --trace --spec bogus -> exit $spec_rc, $spec_errs error line(s) (want 2, 1)" >&2
+    fails=$((fails + 1))
+fi
+
 # --- checkpoint/resume flag combinations -----------------------------------
 expect_code 2 run pathfinder --checkpoint
 expect_code 2 run pathfinder --checkpoint-every 100

@@ -129,6 +129,14 @@ std::vector<SpeculationConfig> SpeculationConfig::figure5_sweep() {
   };
 }
 
+std::optional<SpeculationConfig> SpeculationConfig::figure5_point(
+    const std::string& name) {
+  for (const auto& c : figure5_sweep()) {
+    if (c.name() == name) return c;
+  }
+  return std::nullopt;
+}
+
 SpeculationConfig st2_config() {
   return SpeculationConfig::ltid_prev_modpc4_peek();
 }

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -77,6 +78,9 @@ struct SpeculationConfig {
 
   /// All Figure 5 configurations in x-axis order.
   static std::vector<SpeculationConfig> figure5_sweep();
+  /// The Figure 5 configuration whose name() is `name`, if any.
+  static std::optional<SpeculationConfig> figure5_point(
+      const std::string& name);
 };
 
 /// The production ST2 configuration (Ltid+Prev+ModPC4+Peek).

@@ -62,7 +62,8 @@
 // array (open FILE in chrome://tracing or ui.perfetto.dev). --max-warps
 // caps warp slots per SM (config sweeps; a launch whose blocks cannot fit
 // exits with an error). --spec selects the speculation policy measured in
-// --trace mode (any name from the Figure 5 sweep, e.g. "Prev+ModPC4+Peek").
+// --trace mode (any name from the Figure 5 sweep, e.g. "Prev+ModPC4+Peek");
+// it is rejected on timing runs.
 //
 // Robustness layer (docs/robustness.md):
 //   --inject crf:1e-4,detect:1e-5   seeded faults into the ST2 speculation
@@ -150,7 +151,8 @@ extern "C" void on_signal(int sig) {
 struct Options {
   std::string command;
   run::RunSpec run;  ///< the run options, shared with serve requests
-  std::string spec = "Ltid+Prev+ModPC4+Peek";  ///< --spec (trace mode)
+  std::string spec;  ///< --spec as given (trace mode only)
+  spec::SpeculationConfig lattice = spec::st2_config();  ///< --spec resolved
   bool trace = false;
   bool disasm = false;
   bool selfcheck = false;
@@ -311,7 +313,7 @@ bool parse(int argc, char** argv, Options* o) {
       o->json = v;
     } else if (a == "--spec") {
       const char* v = next();
-      if (!v) return false;
+      if (!v || *v == '\0') return false;
       o->spec = v;
     } else if (a == "--spec-policy") {
       const char* v = next();
@@ -406,7 +408,7 @@ std::uint64_t config_hash(const Options& o) {
   s += r.lrr ? '1' : '0';
   s += ";sms=" + std::to_string(r.sms);
   s += ";max_warps=" + std::to_string(r.max_warps);
-  s += ";spec=" + o.spec;
+  s += ";spec=" + o.lattice.name();
   s += ";spec_policy=" + r.spec_policy.describe();
   s += ";inject=" + r.inject.describe();
   s += ";inject_seed=" + std::to_string(r.inject.seed);
@@ -555,26 +557,7 @@ int run_one(const Options& o, const std::string& name, Table* out,
   }
 
   if (o.trace) {
-    spec::SpeculationConfig cfg = spec::st2_config();
-    bool found = o.spec == cfg.name();
-    if (!found) {
-      for (const auto& c : spec::SpeculationConfig::figure5_sweep()) {
-        if (c.name() == o.spec) {
-          cfg = c;
-          found = true;
-          break;
-        }
-      }
-    }
-    if (!found) {
-      std::fprintf(stderr, "error[bad-arguments]: unknown --spec '%s'; options:\n",
-                   o.spec.c_str());
-      for (const auto& c : spec::SpeculationConfig::figure5_sweep()) {
-        std::fprintf(stderr, "  %s\n", c.name().c_str());
-      }
-      return sim::kExitBadArguments;
-    }
-    sim::SpeculationHarness spec(cfg);
+    sim::SpeculationHarness spec(o.lattice);
     sim::EventCounters c;
     {
       // Trace mode has no replay: the functional pass is the whole phase.
@@ -956,6 +939,24 @@ int main(int argc, char** argv) {
                    timing_only);
       return sim::kExitBadArguments;
     }
+  }
+  if (!o.spec.empty()) {
+    if (!o.trace) {
+      std::fprintf(stderr,
+                   "error[bad-arguments]: --spec applies to trace runs only\n");
+      return sim::kExitBadArguments;
+    }
+    const auto lattice = spec::SpeculationConfig::figure5_point(o.spec);
+    if (!lattice) {
+      std::fprintf(stderr,
+                   "error[bad-arguments]: unknown --spec '%s'; options:\n",
+                   o.spec.c_str());
+      for (const auto& c : spec::SpeculationConfig::figure5_sweep()) {
+        std::fprintf(stderr, "  %s\n", c.name().c_str());
+      }
+      return sim::kExitBadArguments;
+    }
+    o.lattice = *lattice;
   }
   if (o.checkpoint_every > 0 && o.checkpoint.empty()) {
     std::fprintf(stderr,
