@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/json.hpp"
 #include "src/orch/fragment.hpp"
 #include "src/orch/journal.hpp"
 #include "src/orch/spec.hpp"
@@ -57,30 +58,6 @@ std::string read_file(const std::string& path, bool* ok = nullptr) {
                 std::istreambuf_iterator<char>{});
   if (ok != nullptr) *ok = !is.bad();
   return s;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string scale_dir_token(const std::string& scale) {

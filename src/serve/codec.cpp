@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <map>
 
+#include "src/common/json.hpp"
 #include "src/sim/error.hpp"
 #include "src/spec/policy.hpp"
 
@@ -275,30 +276,6 @@ RunRequest parse_request(std::string_view line) {
   }
   req.spec.inject.seed = inject_seed;
   return req;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string envelope_line(const std::string& request_id, int exit_code,

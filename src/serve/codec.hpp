@@ -37,10 +37,6 @@ namespace st2::serve {
 /// wrongly-typed fields, non-integral counts, bad inject/spec_policy specs.
 RunRequest parse_request(std::string_view line);
 
-/// JSON string escaping for envelope fields (quotes, backslashes, control
-/// bytes).
-std::string json_escape(std::string_view s);
-
 /// The response envelope line (without the trailing newline) for a finished
 /// request. `error_kind` empty means a run executed and a body follows.
 std::string envelope_line(const std::string& request_id, int exit_code,

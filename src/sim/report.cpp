@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
+
+#include "src/common/json.hpp"
 
 namespace st2::sim {
 
@@ -43,33 +44,6 @@ RunReport RunReport::reduce(std::vector<SmReport> per_sm, int num_sms,
 }
 
 namespace {
-
-/// JSON string escaping per RFC 8259: quote, backslash and control
-/// characters; everything else passes through byte-for-byte.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Serializes a double as a valid JSON number — JSON has no NaN/Infinity,
 /// so non-finite values become null.

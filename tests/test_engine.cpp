@@ -333,6 +333,16 @@ TEST(Engine, JsonReportEscapesKernelNamesAndStaysParseable) {
   EXPECT_TRUE(MiniJson(js).document()) << js;
   EXPECT_NE(js.find("we\\\"ird\\\\name\\n"), std::string::npos);
 
+  // Every control byte is escaped, so the report still parses.
+  std::string controls;
+  for (int c = 0; c < 0x20; ++c) controls += static_cast<char>(c);
+  const std::string cj = r.to_json(controls, 0);
+  EXPECT_TRUE(MiniJson(cj).document()) << cj;
+  EXPECT_NE(cj.find("\\u0000\\u0001"), std::string::npos);
+  EXPECT_NE(cj.find("\\u0008\\t\\n\\u000b\\u000c\\r\\u000e"),
+            std::string::npos);
+  EXPECT_NE(cj.find("\\u001f"), std::string::npos);
+
   // Non-finite rates must still serialize as valid JSON (null, not nan/inf).
   RunReport degenerate;
   degenerate.misprediction_rate = std::nan("");

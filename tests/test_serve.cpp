@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/json.hpp"
 #include "src/serve/codec.hpp"
 #include "src/serve/runner.hpp"
 #include "src/serve/server.hpp"
@@ -89,6 +90,14 @@ TEST(ServeCodec, StringEscapesDecode) {
   const RunRequest r = serve::parse_request(
       "{\"id\": \"a\\\"b\\\\c\\u0041\", \"kernel\": \"pathfinder\"}");
   EXPECT_EQ(r.id, "a\"b\\cA");
+
+  // Every control byte survives json_escape -> decode unchanged.
+  std::string controls;
+  for (int c = 0; c < 0x20; ++c) controls += static_cast<char>(c);
+  const RunRequest rc = serve::parse_request("{\"id\": \"" +
+                                             json_escape(controls) +
+                                             "\", \"kernel\": \"pathfinder\"}");
+  EXPECT_EQ(rc.id, controls);
 }
 
 // Every malformed line must be rejected through the taxonomy — a typo'd
