@@ -1,7 +1,41 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdio>
+#include <cstring>
+#include <ostream>
+
 #include "src/adder/adders.hpp"
 #include "src/common/rng.hpp"
+
+namespace st2::spec {
+
+// gtest's default printer dumps the raw bytes of a SpeculationConfig, its
+// padding bytes included; those are indeterminate, so the listed test names
+// changed from run to run. This prints the same "N-byte object <..>" dump
+// with the padding zeroed, so the names are stable.
+static void PrintTo(const SpeculationConfig& c, std::ostream* os) {
+  unsigned char bytes[sizeof(SpeculationConfig)] = {};
+  const auto put = [&](std::size_t offset, const auto& field) {
+    std::memcpy(bytes + offset, &field, sizeof(field));
+  };
+  put(offsetof(SpeculationConfig, base), c.base);
+  put(offsetof(SpeculationConfig, peek), c.peek);
+  put(offsetof(SpeculationConfig, pc), c.pc);
+  put(offsetof(SpeculationConfig, pc_bits), c.pc_bits);
+  put(offsetof(SpeculationConfig, scope), c.scope);
+  put(offsetof(SpeculationConfig, always_write), c.always_write);
+  *os << sizeof(bytes) << "-byte object <";
+  for (std::size_t i = 0; i < sizeof(bytes); ++i) {
+    if (i != 0) *os << (i % 2 == 0 ? ' ' : '-');
+    char hex[3];
+    std::snprintf(hex, sizeof(hex), "%02X", bytes[i]);
+    *os << hex;
+  }
+  *os << '>';
+}
+
+}  // namespace st2::spec
 
 namespace st2::adder {
 namespace {
