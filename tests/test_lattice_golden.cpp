@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,39 +18,14 @@
 #include "src/sim/spec_harness.hpp"
 #include "src/sim/trace_run.hpp"
 #include "src/workloads/workload.hpp"
+#include "tests/lattice_configs.hpp"
 
 namespace st2 {
 namespace {
 
+using test_support::lattice_configs;
+
 constexpr double kScale = 0.1;
-
-/// Every lattice point a bench or tool constructs, deduplicated by name
-/// (ablation_st2's k=4 row is the Figure 5 ST2 design).
-std::vector<spec::SpeculationConfig> lattice_configs() {
-  std::vector<spec::SpeculationConfig> all =
-      spec::SpeculationConfig::figure5_sweep();
-  all.push_back(spec::SpeculationConfig::prev_gtid());
-  all.push_back(spec::SpeculationConfig::prev_fullpc_gtid());
-  all.push_back(spec::SpeculationConfig::prev_fullpc_ltid());
-  for (int k = 1; k <= 6; ++k) {
-    auto c = spec::SpeculationConfig::ltid_prev_modpc4_peek();
-    c.pc_bits = k;
-    all.push_back(c);
-  }
-  auto no_peek = spec::SpeculationConfig::ltid_prev_modpc4_peek();
-  no_peek.peek = false;
-  all.push_back(no_peek);
-  auto always = spec::SpeculationConfig::ltid_prev_modpc4_peek();
-  always.always_write = true;
-  all.push_back(always);
-
-  std::vector<spec::SpeculationConfig> out;
-  std::set<std::string> seen;
-  for (const auto& c : all) {
-    if (seen.insert(c.name()).second) out.push_back(c);
-  }
-  return out;
-}
 
 std::string measure() {
   const std::vector<spec::SpeculationConfig> cfgs = lattice_configs();

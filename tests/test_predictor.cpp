@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <map>
+#include <vector>
 
 #include "src/common/rng.hpp"
 #include "src/spec/predictor.hpp"
+#include "tests/lattice_configs.hpp"
 
 namespace st2::spec {
 namespace {
@@ -190,6 +193,119 @@ TEST(Predictor, TableGrowsWithDistinctKeys) {
     }
   }
   EXPECT_EQ(sp.table_entries(), 50u);
+
+  // Every lattice point against a std::map model of the training rule, over
+  // one seeded stream of >= 50k distinct (pc, gtid, ltid) sites: Prev writes
+  // on first touch, on a misprediction or always under always_write;
+  // VaLHALLA broadcasts on every add; static bases never train. The stream
+  // holds Gtid keys that differ only above bit 32 (same PC, gtids apart in
+  // their high bits) and full-width PCs up to 0xffffffff.
+  struct Site {
+    std::uint64_t pc;
+    std::uint32_t gtid;
+    std::uint32_t ltid;
+  };
+  Xoshiro256 rng(15);
+  std::vector<Site> sites;
+  constexpr std::uint32_t kHighGtidBits[] = {0, 0x80000000u, 0x00010000u,
+                                             0x40000000u};
+  for (std::uint32_t g = 0; g < 15000; ++g) {
+    const std::uint64_t pc = g % 4 == 0   ? 0xffffffffull - g / 4
+                             : g % 4 == 1 ? rng.next_u32()
+                                          : rng.next_below(64);
+    for (const std::uint32_t hi : kHighGtidBits) {
+      const std::uint32_t gtid = (g & 0xffffu) | hi;
+      sites.push_back({pc, gtid, gtid & 31u});
+    }
+  }
+  constexpr std::size_t kRevisits = 60000;
+  std::vector<Site> stream = sites;  // first touch of every site, in order
+  for (std::size_t i = 0; i < kRevisits; ++i) {
+    stream.push_back(sites[rng.next_below(sites.size())]);
+  }
+
+  for (const SpeculationConfig& cfg : test_support::lattice_configs()) {
+    SCOPED_TRACE(cfg.name());
+    CarrySpeculator sp(cfg);
+    std::map<std::uint64_t, std::uint8_t> model;
+    const auto model_key = [&](const Site& s) {
+      std::uint64_t pc_part = 0;
+      if (cfg.pc == PcIndexing::kFull) pc_part = s.pc;
+      if (cfg.pc == PcIndexing::kModK) pc_part = s.pc % (1ull << cfg.pc_bits);
+      for (std::uint64_t rest = s.pc; cfg.pc == PcIndexing::kXorHash && rest;
+           rest >>= cfg.pc_bits) {
+        pc_part ^= rest % (1ull << cfg.pc_bits);
+      }
+      const std::uint64_t tid = cfg.scope == ThreadScope::kGlobalTid ? s.gtid
+                                : cfg.scope == ThreadScope::kLocalTid ? s.ltid
+                                                                      : 0;
+      return tid << 32 | pc_part;
+    };
+    Xoshiro256 ops_rng(7);
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      const Site& s = stream[i];
+      // Small operands never carry, repeated ones let Prev predict right,
+      // random ones mispredict; widths cover every narrow-op merge.
+      const std::uint64_t pick = ops_rng.next_below(3);
+      const std::uint64_t a = pick == 0   ? ops_rng.next_below(128)
+                              : pick == 1 ? s.pc * 0x9e3779b97f4a7c15ull
+                                          : ops_rng.next_u64();
+      const std::uint64_t b = pick == 0   ? ops_rng.next_below(128)
+                              : pick == 1 ? ~std::uint64_t{s.gtid} << 7
+                                          : ops_rng.next_u64();
+      const int slices = static_cast<int>(ops_rng.next_below(7)) + 2;
+      const bool cin = ops_rng.next_below(2) != 0;
+      const AddOp op = make_op(a, b, s.pc, s.gtid, s.ltid, slices, cin);
+
+      const std::uint64_t key = model_key(s);
+      const auto it = model.find(key);
+      std::uint8_t hist = it != model.end() ? it->second : 0;
+      if (cfg.base == BasePolicy::kStaticZero) hist = 0;
+      if (cfg.base == BasePolicy::kStaticOne) hist = 0x7f;
+      const std::uint8_t rel = relevant_mask(slices);
+      const PeekResult pk = cfg.peek ? peek_reference(a, b, slices)
+                                     : PeekResult{};
+      Prediction want;
+      want.peek_mask = pk.mask;
+      want.dynamic_mask = static_cast<std::uint8_t>(rel & ~pk.mask);
+      want.carries = static_cast<std::uint8_t>((pk.carries & pk.mask) |
+                                               (hist & want.dynamic_mask));
+      const std::uint8_t actual = actual_carries_reference(op);
+      const SpeculationOutcome want_out =
+          resolve_prediction_reference(want, actual, slices);
+
+      const Prediction got = sp.predict(op);
+      ASSERT_EQ(got.carries, want.carries) << "op " << i;
+      ASSERT_EQ(got.peek_mask, want.peek_mask) << "op " << i;
+      ASSERT_EQ(got.dynamic_mask, want.dynamic_mask) << "op " << i;
+      const SpeculationOutcome out = sp.resolve(op, got);
+      ASSERT_EQ(out.actual, want_out.actual) << "op " << i;
+      ASSERT_EQ(out.mispredicted, want_out.mispredicted) << "op " << i;
+      ASSERT_EQ(out.recompute_mask, want_out.recompute_mask) << "op " << i;
+
+      if (cfg.base == BasePolicy::kValhalla) {
+        model[key] = actual != 0 ? 0x7f : 0;
+      } else if (cfg.base == BasePolicy::kPrev) {
+        const bool first_touch = it == model.end();
+        if (first_touch || want_out.mispredicted != 0 || cfg.always_write) {
+          model[key] = static_cast<std::uint8_t>((hist & ~rel) | actual);
+        }
+      }
+      if (i % 4096 == 0) {
+        ASSERT_EQ(sp.table_entries(), model.size()) << "op " << i;
+      }
+    }
+    EXPECT_EQ(sp.table_entries(), model.size());
+  }
+  // Full-PC Gtid indexing gives every site its own entry: >= 50k entries
+  // is at least ten doublings of any small starting table.
+  CarrySpeculator full(SpeculationConfig::prev_fullpc_gtid());
+  for (const Site& s : sites) {
+    const AddOp op = make_op(1, 1, s.pc, s.gtid, s.ltid);
+    full.resolve(op, full.predict(op));
+  }
+  EXPECT_EQ(full.table_entries(), sites.size());
+  EXPECT_GE(sites.size(), 50000u);
 }
 
 TEST(Predictor, Figure5SweepHasThirteenConfigs) {
