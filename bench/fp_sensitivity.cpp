@@ -126,7 +126,7 @@ int main() {
       if (!rec.has_adder_op) return;
       for (int lane = 0; lane < 32; ++lane) {
         if (((rec.active_mask >> lane) & 1u) == 0) continue;
-        const spec::AddOp op = sim::make_add_op(rec, lane, 1024);
+        const spec::AddOp op = sim::make_add_op(rec, lane);
         const spec::Prediction pred = sp.predict(op);
         const auto out = sp.resolve(op, pred);
         auto& e = by_op[static_cast<int>(rec.instr->op)];

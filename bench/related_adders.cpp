@@ -45,7 +45,7 @@ int main() {
       if (!rec.has_adder_op) return;
       for (int lane = 0; lane < 32; ++lane) {
         if (((rec.active_mask >> lane) & 1u) == 0) continue;
-        const spec::AddOp op = sim::make_add_op(rec, lane, 1024);
+        const spec::AddOp op = sim::make_add_op(rec, lane);
         auto run = [&](Tally& t, const adder::AddOutcome& r) {
           t.energy += r.energy;
           ++t.ops;

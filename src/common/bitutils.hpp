@@ -68,6 +68,16 @@ constexpr std::uint8_t pack_byte_lsbs(std::uint64_t v) {
       ((v & 0x0101010101010101ULL) * 0x0102040810204080ULL) >> 56);
 }
 
+/// Set bits of one byte, by SWAR partial sums: pairs, then nibbles, then the
+/// byte. Inline arithmetic rather than std::popcount, which without -mpopcnt
+/// compiles to a libgcc call; the carry-mask counters run once per lane.
+constexpr int popcount_byte(std::uint8_t v) {
+  std::uint32_t x = v;
+  x -= (x >> 1) & 0x55u;                 // 2-bit counts
+  x = (x & 0x33u) + ((x >> 2) & 0x33u);  // 4-bit counts
+  return static_cast<int>((x + (x >> 4)) & 0x0fu);
+}
+
 /// All kNumPredictedCarries true carry-ins packed LSB-first: bit i holds the
 /// carry-in of slice i+1. Scalar reference implementation — the oracle the
 /// property tests hold the branchless version below to.

@@ -4,7 +4,9 @@
 // all active lanes of a warp instruction read their history patterns
 // *before* any lane's outcome trains the tables (the CRF row is read once in
 // the register-read stage; updates land at write-back), then each lane in
-// order composes its prediction, resolves it and trains.
+// order composes its prediction, resolves it and trains. Each lane probes
+// the table once: the read stage finds or inserts its entry and write-back
+// trains through that same entry.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +51,8 @@ class SpeculationHarness {
   std::uint64_t slice_recomputes_ = 0;
 };
 
-/// Builds the spec::AddOp for one lane of a record.
-spec::AddOp make_add_op(const ExecRecord& rec, int lane, int block_size);
+/// Builds the spec::AddOp for one lane of a record, with the global thread
+/// id SpeculationHarness::feed gives that lane.
+spec::AddOp make_add_op(const ExecRecord& rec, int lane);
 
 }  // namespace st2::sim

@@ -1,24 +1,11 @@
 #include "src/spec/predictor.hpp"
 
 #include <bit>
+#include <utility>
 
 #include "src/common/contracts.hpp"
 
 namespace st2::spec {
-
-namespace {
-
-std::uint64_t fold_xor(std::uint64_t pc, int k) {
-  const std::uint64_t mask = (std::uint64_t{1} << k) - 1;
-  std::uint64_t h = 0;
-  while (pc != 0) {
-    h ^= pc & mask;
-    pc >>= k;
-  }
-  return h;
-}
-
-}  // namespace
 
 std::uint8_t actual_carries_reference(const AddOp& op) {
   std::uint8_t packed = 0;
@@ -30,45 +17,45 @@ std::uint8_t actual_carries_reference(const AddOp& op) {
   return packed;
 }
 
-std::uint64_t CarrySpeculator::key(std::uint64_t pc, std::uint32_t gtid,
-                                   std::uint32_t ltid) const {
-  ST2_EXPECTS(ltid < 32);
-  std::uint64_t pc_part = 0;
-  switch (cfg_.pc) {
-    case PcIndexing::kNone: pc_part = 0; break;
-    case PcIndexing::kFull: pc_part = pc; break;
-    case PcIndexing::kModK:
-      pc_part = pc & ((std::uint64_t{1} << cfg_.pc_bits) - 1);
-      break;
-    case PcIndexing::kXorHash: pc_part = fold_xor(pc, cfg_.pc_bits); break;
+void PatternTable::grow(std::size_t need) {
+  std::size_t cap = entries_.empty() ? 16 : entries_.size() * 2;
+  while (need > cap / 4 * 3) cap *= 2;
+  const std::vector<std::uint64_t> keys =
+      std::exchange(keys_, std::vector<std::uint64_t>(cap));
+  const std::vector<std::uint8_t> entries =
+      std::exchange(entries_, std::vector<std::uint8_t>(cap));
+  mask_ = cap - 1;
+  limit_ = cap / 4 * 3;
+  shift_ = 64 - std::countr_zero(cap);
+  for (std::size_t j = 0; j < entries.size(); ++j) {
+    if ((entries[j] & kOccupied) == 0) continue;
+    std::size_t i = home(keys[j]);
+    while ((entries_[i] & kOccupied) != 0) i = (i + 1) & mask_;
+    keys_[i] = keys[j];
+    entries_[i] = entries[j];
   }
-  std::uint64_t tid_part = 0;
-  switch (cfg_.scope) {
-    case ThreadScope::kShared: tid_part = 0; break;
-    case ThreadScope::kGlobalTid: tid_part = gtid; break;
-    case ThreadScope::kLocalTid: tid_part = ltid; break;
-  }
-  ST2_ASSERT(pc_part < (std::uint64_t{1} << 32));
-  return (tid_part << 32) | pc_part;
 }
 
-void CarrySpeculator::train(std::uint64_t key, const LaneRecord& lane,
-                            bool mispredicted) {
-  switch (cfg_.base) {
-    case BasePolicy::kStaticZero:
-    case BasePolicy::kStaticOne:
+CarrySpeculator::CarrySpeculator(const SpeculationConfig& cfg)
+    : cfg_(cfg),
+      tabled_(cfg.base == BasePolicy::kPrev ||
+              cfg.base == BasePolicy::kValhalla),
+      constant_(cfg.base == BasePolicy::kStaticOne ? 0x7f : 0) {
+  rule_.peek_keep = cfg.peek ? 0xff : 0;
+  rule_.valhalla = cfg.base == BasePolicy::kValhalla;
+  rule_.write_on_miss = cfg.base == BasePolicy::kPrev;
+  rule_.write_always =
+      rule_.valhalla || (rule_.write_on_miss && cfg.always_write);
+  switch (cfg.pc) {
+    case PcIndexing::kNone: pc_mask_ = 0; break;
+    case PcIndexing::kFull: pc_mask_ = ~std::uint64_t{0}; break;
+    case PcIndexing::kModK:
+      pc_mask_ = (std::uint64_t{1} << cfg.pc_bits) - 1;
       break;
-    case BasePolicy::kValhalla:
-      table_[key] = lane.actual != 0 ? 0x7f : 0;
-      break;
-    case BasePolicy::kPrev: {
-      const auto [it, first_touch] = table_.try_emplace(key, 0);
-      if (mispredicted || first_touch || cfg_.always_write) {
-        it->second = merge_history(it->second, lane);
-      }
-      break;
-    }
+    case PcIndexing::kXorHash: break;  // key() folds instead
   }
+  gtid_mask_ = cfg.scope == ThreadScope::kGlobalTid ? ~0u : 0u;
+  ltid_mask_ = cfg.scope == ThreadScope::kLocalTid ? ~0u : 0u;
 }
 
 SpeculationOutcome CarrySpeculator::resolve(const AddOp& op,

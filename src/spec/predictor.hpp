@@ -14,9 +14,10 @@
 // in how its table is indexed and how it trains.
 #pragma once
 
-#include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "src/common/bitutils.hpp"
 #include "src/common/contracts.hpp"
@@ -90,9 +91,7 @@ struct SpeculationOutcome {
   std::uint8_t recompute_mask = 0;
   bool any_misprediction() const { return mispredicted != 0; }
   /// Inline: the replay core calls this once per adder instruction issued.
-  int recompute_count() const {
-    return std::popcount(static_cast<unsigned>(recompute_mask));
-  }
+  int recompute_count() const { return popcount_byte(recompute_mask); }
 };
 
 /// One add operation presented to the lattice one op at a time. Operands
@@ -107,43 +106,163 @@ struct AddOp {
   int num_slices = kNumSlices;  ///< 8 for int64, 4 for int32, 3 for FP32, ...
 };
 
-class CarrySpeculator {
+/// XOR-fold of `pc` in k-bit chunks (the kXorHash PC index).
+inline std::uint64_t fold_xor(std::uint64_t pc, int k) {
+  const std::uint64_t mask = (std::uint64_t{1} << k) - 1;
+  std::uint64_t h = 0;
+  while (pc != 0) {
+    h ^= pc & mask;
+    pc >>= k;
+  }
+  return h;
+}
+
+/// The lattice's history table: 64-bit key -> 7-bit pattern, open-addressed
+/// with linear probing over a power-of-two slot array indexed by a
+/// multiplicative hash. Patterns are 7-bit, so bit 7 of a slot's entry byte
+/// marks it occupied and no key is reserved as a sentinel. Keys and entry
+/// bytes live in separate arrays (9 bytes a slot, not a padded 16). The
+/// table only grows in reserve(), doubling at 3/4 load, so the entry
+/// pointers find_or_insert hands out stay valid until the next reserve().
+class PatternTable {
  public:
-  explicit CarrySpeculator(const SpeculationConfig& cfg) : cfg_(cfg) {}
+  static constexpr std::uint8_t kOccupied = 0x80;
+
+  std::size_t size() const { return size_; }
+
+  /// The entry byte of `key`, or nullptr.
+  const std::uint8_t* find(std::uint64_t key) const {
+    if (size_ == 0) return nullptr;
+    for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+      if ((entries_[i] & kOccupied) == 0) return nullptr;
+      if (keys_[i] == key) return &entries_[i];
+    }
+  }
+
+  /// Makes room for `n` more keys: the next n find_or_insert calls neither
+  /// grow the table nor move an entry.
+  void reserve(std::size_t n) {
+    if (size_ + n > limit_) grow(size_ + n);
+  }
+
+  /// The entry byte of `key` and whether it was just inserted (holding
+  /// pattern 0). Needs room from reserve().
+  std::pair<std::uint8_t*, bool> find_or_insert(std::uint64_t key) {
+    ST2_ASSERT(size_ < limit_);
+    for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+      if ((entries_[i] & kOccupied) == 0) {
+        keys_[i] = key;
+        entries_[i] = kOccupied;
+        ++size_;
+        return {&entries_[i], true};
+      }
+      if (keys_[i] == key) return {&entries_[i], false};
+    }
+  }
+
+ private:
+  std::size_t home(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >> shift_);
+  }
+  void grow(std::size_t need);
+
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::uint8_t> entries_;  ///< kOccupied | 7-bit pattern
+  std::size_t mask_ = 0;
+  std::size_t size_ = 0;
+  std::size_t limit_ = 0;  ///< 3/4 of the capacity
+  int shift_ = 64;         ///< 64 - log2(capacity)
+};
+
+/// What one lattice point does with a lane, as plain values: a warp-level
+/// feeder copies it once per instruction so the per-lane loop reads no
+/// config.
+struct LatticeRule {
+  std::uint8_t peek_keep = 0;  ///< 0xff with Peek, else 0
+  bool valhalla = false;       ///< writes the broadcast pattern
+  bool write_on_miss = false;  ///< Prev: a mispredicting lane writes
+  bool write_always = false;   ///< VaLHALLA, or Prev under always_write
 
   /// The lane record this lattice point sees: without Peek it is empty.
   LaneRecord lane(std::uint64_t a, std::uint64_t b, bool cin,
                   int num_slices) const {
     ST2_EXPECTS(num_slices >= 2 && num_slices <= kNumSlices);
     LaneRecord r = lane_record(a, b, cin, num_slices);
-    if (!cfg_.peek) r.peek_mask = r.peek_carries = 0;
+    r.peek_mask &= peek_keep;
+    r.peek_carries &= peek_keep;
     return r;
+  }
+
+  /// Trains entry byte `e` on one resolved lane, as one select. Prev writes
+  /// the merged true pattern on a misprediction (Section IV-C), on first
+  /// touch (`fresh`: so a cold entry does not stay cold when predicting 0
+  /// happened to be right) or always under `always_write`; VaLHALLA
+  /// broadcasts whether the add carried across any slice boundary on every
+  /// add; static bases never write (and are never fresh).
+  void train(std::uint8_t& e, const LaneRecord& lane, bool mispredicted,
+             bool fresh) const {
+    const auto broadcast = static_cast<std::uint8_t>(
+        PatternTable::kOccupied | (lane.actual != 0 ? 0x7f : 0));
+    const std::uint8_t merged =
+        valhalla ? broadcast : merge_history(e, lane);
+    const bool write = write_always | (write_on_miss & mispredicted) | fresh;
+    // e = write ? merged : e, as mask arithmetic: compiled as a select the
+    // store would hang off a branch on `mispredicted`, which data decides.
+    const auto take = static_cast<std::uint8_t>(-static_cast<int>(write));
+    e = static_cast<std::uint8_t>(e ^ ((e ^ merged) & take));
+  }
+};
+
+class CarrySpeculator {
+ public:
+  explicit CarrySpeculator(const SpeculationConfig& cfg);
+
+  /// The lane record this lattice point sees: without Peek it is empty.
+  LaneRecord lane(std::uint64_t a, std::uint64_t b, bool cin,
+                  int num_slices) const {
+    return rule_.lane(a, b, cin, num_slices);
   }
 
   /// History-table entry of thread (gtid, ltid) at `pc`.
   std::uint64_t key(std::uint64_t pc, std::uint32_t gtid,
-                    std::uint32_t ltid) const;
+                    std::uint32_t ltid) const {
+    ST2_EXPECTS(ltid < 32);
+    const std::uint64_t pc_part = cfg_.pc == PcIndexing::kXorHash
+                                      ? fold_xor(pc, cfg_.pc_bits)
+                                      : pc & pc_mask_;
+    ST2_ASSERT(pc_part < (std::uint64_t{1} << 32));
+    const std::uint64_t tid_part = (gtid & gtid_mask_) | (ltid & ltid_mask_);
+    return (tid_part << 32) | pc_part;
+  }
 
   /// The 7-bit pattern the entry at `key` predicts: the static bases are
   /// constant patterns; an untouched entry predicts 0.
   std::uint8_t pattern(std::uint64_t key) const {
-    switch (cfg_.base) {
-      case BasePolicy::kStaticZero: return 0;
-      case BasePolicy::kStaticOne: return 0x7f;
-      default: {
-        const auto it = table_.find(key);
-        return it != table_.end() ? it->second : 0;
-      }
-    }
+    if (!tabled_) return constant_;
+    const std::uint8_t* e = table_.find(key);
+    return e != nullptr ? *e & 0x7f : 0;
   }
 
-  /// Trains the entry at `key` on one resolved lane. Prev writes the merged
-  /// true pattern on a misprediction (Section IV-C), on first touch (so a
-  /// cold entry does not stay cold when predicting 0 happened to be right)
-  /// or always under `always_write`; VaLHALLA broadcasts whether the add
-  /// carried across any slice boundary on every add; static bases never
-  /// train.
-  void train(std::uint64_t key, const LaneRecord& lane, bool mispredicted);
+  /// The entry byte `key` predicts from and trains (bit 7 aside, its
+  /// pattern) and whether it was just inserted. Tabled bases find or insert
+  /// it: a new entry holds pattern 0, exactly as an absent one predicts. The
+  /// static bases share their constant pattern, which rule() never writes.
+  /// Call reserve(n) before n of these; the pointers stay valid until the
+  /// next reserve().
+  std::pair<std::uint8_t*, bool> entry(std::uint64_t key) {
+    if (!tabled_) return {&constant_, false};
+    return table_.find_or_insert(key);
+  }
+  void reserve(std::size_t n) { table_.reserve(n); }
+
+  const LatticeRule& rule() const { return rule_; }
+
+  /// Trains the entry at `key` on one resolved lane (see LatticeRule::train).
+  void train(std::uint64_t key, const LaneRecord& lane, bool mispredicted) {
+    reserve(1);
+    const auto [e, fresh] = entry(key);
+    rule_.train(*e, lane, mispredicted, fresh);
+  }
 
   /// One op at a time (no warp): the prediction for `op`.
   Prediction predict(const AddOp& op) const {
@@ -162,7 +281,13 @@ class CarrySpeculator {
 
  private:
   SpeculationConfig cfg_;
-  std::unordered_map<std::uint64_t, std::uint8_t> table_;  ///< 7-bit patterns
+  LatticeRule rule_;
+  bool tabled_ = false;         ///< Prev or VaLHALLA: patterns in table_
+  std::uint8_t constant_ = 0;   ///< the static bases' pattern
+  std::uint64_t pc_mask_ = 0;   ///< PC bits of the key (kNone/kFull/kModK)
+  std::uint32_t gtid_mask_ = 0;
+  std::uint32_t ltid_mask_ = 0;
+  PatternTable table_;
 };
 
 /// Scalar reference for lane_record's ground truth — the property-test

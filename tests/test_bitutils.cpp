@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "src/common/bitutils.hpp"
 #include "src/common/rng.hpp"
 
@@ -102,6 +104,9 @@ TEST(BitUtils, PackByteGathers) {
   EXPECT_EQ(pack_byte_lsbs(0), 0);
   EXPECT_EQ(pack_byte_lsbs(~0ull), 0xff);
   EXPECT_EQ(pack_byte_lsbs(0x0100000000000001ull), 0x81);
+  for (unsigned v = 0; v < 256; ++v) {
+    ASSERT_EQ(popcount_byte(static_cast<std::uint8_t>(v)), std::popcount(v));
+  }
   Xoshiro256 rng(8);
   for (int iter = 0; iter < 20000; ++iter) {
     const std::uint64_t v = rng.next_u64();
