@@ -121,6 +121,50 @@ TEST(BitUtils, PackByteGathers) {
   }
 }
 
+// The byte-lane helpers of the packed warp step, against std::popcount and
+// scalar per-lane loops: every byte value in every lane position, then
+// random words whose lanes mix those values.
+TEST(BitUtils, ByteLaneHelpersMatchScalarLoops) {
+  const auto check = [](std::uint64_t v) {
+    ASSERT_EQ(popcount64(v), std::popcount(v)) << std::hex << v;
+    std::uint64_t nonzero = 0;
+    std::uint64_t smeared = 0;
+    for (int i = 0; i < 8; ++i) {
+      const auto lane = static_cast<std::uint8_t>(v >> (8 * i));
+      if (lane != 0) nonzero |= std::uint64_t{0x80} << (8 * i);
+      std::uint8_t up = 0;
+      for (int j = 0; j < 8; ++j) {
+        if ((lane & ((2u << j) - 1u)) != 0) up |= std::uint8_t(1u << j);
+      }
+      smeared |= std::uint64_t{up} << (8 * i);
+    }
+    ASSERT_EQ(nonzero_byte_msbs(v), nonzero) << std::hex << v;
+    ASSERT_EQ(smear_bytes_up(v), smeared) << std::hex << v;
+  };
+  for (std::uint64_t b = 0; b < 256; ++b) {
+    for (int i = 0; i < 8; ++i) check(b << (8 * i));
+    check(b * 0x0101010101010101ULL);
+  }
+  Xoshiro256 rng(9);
+  for (int iter = 0; iter < 20000; ++iter) {
+    std::uint64_t v = rng.next_u64();
+    // Zero some lanes so the non-zero test sees both kinds in one word.
+    v &= byte_mask_from_bits(static_cast<std::uint32_t>(rng.next_u64()));
+    check(v);
+  }
+
+  for (std::uint32_t bits8 = 0; bits8 < 256; ++bits8) {
+    std::uint64_t want = 0;
+    for (int i = 0; i < 8; ++i) {
+      if (((bits8 >> i) & 1u) != 0) want |= std::uint64_t{0xff} << (8 * i);
+    }
+    ASSERT_EQ(byte_mask_from_bits(bits8), want) << bits8;
+    // Bits above the low byte (the next lanes' bits) are ignored.
+    ASSERT_EQ(byte_mask_from_bits(bits8 | 0xabcd00u), want) << bits8;
+    ASSERT_EQ(pack_byte_msbs(byte_mask_from_bits(bits8)), bits8);
+  }
+}
+
 TEST(BitUtils, LongestCarryChainKnownCases) {
   EXPECT_EQ(longest_carry_chain(0, 0, false), 0);
   // 1 + 1: generate at bit 0, no propagation beyond it.
