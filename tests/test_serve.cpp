@@ -276,38 +276,59 @@ void send_all(int fd, const std::string& s) {
   }
 }
 
-/// Reads exactly `n` framed responses (or fewer if EOF comes first).
-std::vector<Frame> read_frames(int fd, std::size_t n) {
-  std::vector<Frame> out;
-  std::string acc;
-  char buf[16384];
-  while (out.size() < n) {
-    const std::size_t nl = acc.find('\n');
-    if (nl == std::string::npos) {
-      const ssize_t r = ::read(fd, buf, sizeof(buf));
-      if (r <= 0) break;
-      acc.append(buf, static_cast<std::size_t>(r));
-      continue;
-    }
-    Frame f;
-    std::size_t body_bytes = 0;
-    EXPECT_TRUE(serve::parse_envelope(acc.substr(0, nl), &f.request_id,
-                                      &f.exit_code, &f.error_kind, &f.message,
-                                      &body_bytes))
-        << acc.substr(0, nl);
-    while (acc.size() - (nl + 1) < body_bytes) {
-      const ssize_t r = ::read(fd, buf, sizeof(buf));
-      if (r <= 0) {
-        ADD_FAILURE() << "EOF mid-body for request " << f.request_id;
-        return out;
+/// Reads framed responses from one fd. The receive buffer lives as long as
+/// the reader, so bytes of a later frame that arrive in the same read() as
+/// an earlier one are kept for the next call, not dropped.
+class FrameReader {
+ public:
+  explicit FrameReader(int fd) : fd_(fd) {}
+
+  /// Reads exactly `n` framed responses (or fewer if EOF comes first).
+  std::vector<Frame> read(std::size_t n) {
+    std::vector<Frame> out;
+    while (out.size() < n) {
+      const std::size_t nl = acc_.find('\n');
+      if (nl == std::string::npos) {
+        if (!fill()) break;
+        continue;
       }
-      acc.append(buf, static_cast<std::size_t>(r));
+      Frame f;
+      std::size_t body_bytes = 0;
+      EXPECT_TRUE(serve::parse_envelope(acc_.substr(0, nl), &f.request_id,
+                                        &f.exit_code, &f.error_kind,
+                                        &f.message, &body_bytes))
+          << acc_.substr(0, nl);
+      while (acc_.size() - (nl + 1) < body_bytes) {
+        if (!fill()) {
+          ADD_FAILURE() << "EOF mid-body for request " << f.request_id;
+          return out;
+        }
+      }
+      f.body = acc_.substr(nl + 1, body_bytes);
+      acc_.erase(0, nl + 1 + body_bytes);
+      out.push_back(std::move(f));
     }
-    f.body = acc.substr(nl + 1, body_bytes);
-    acc.erase(0, nl + 1 + body_bytes);
-    out.push_back(std::move(f));
+    return out;
   }
-  return out;
+
+ private:
+  /// Appends one read() to the buffer; false on EOF or error.
+  bool fill() {
+    char buf[16384];
+    const ssize_t r = ::read(fd_, buf, sizeof(buf));
+    if (r <= 0) return false;
+    acc_.append(buf, static_cast<std::size_t>(r));
+    return true;
+  }
+
+  int fd_;
+  std::string acc_;
+};
+
+/// Reads exactly `n` framed responses (or fewer if EOF comes first) from a
+/// fd that is read only once.
+std::vector<Frame> read_frames(int fd, std::size_t n) {
+  return FrameReader(fd).read(n);
 }
 
 std::string test_socket(const char* name) {
@@ -445,9 +466,10 @@ TEST(ServeServer, DrainFinishesAdmittedRequestsWhole) {
            "\"sms\": 4, \"st2\": true}\n");
   // Give the reader a moment to admit both, then stop mid-flight: both
   // admitted responses must still arrive complete before EOF.
-  std::vector<Frame> frames = read_frames(fd, 1);  // wait for admission+run
+  FrameReader reader(fd);
+  std::vector<Frame> frames = reader.read(1);  // wait for admission+run
   fx.server().request_stop();
-  for (Frame& f : read_frames(fd, 1)) frames.push_back(std::move(f));
+  for (Frame& f : reader.read(1)) frames.push_back(std::move(f));
   fx.stop();
   char c;
   EXPECT_EQ(::read(fd, &c, 1), 0);  // EOF after drain, no partial bytes
