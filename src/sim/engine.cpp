@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <exception>
 #include <memory>
@@ -53,14 +54,12 @@ void append_op(WarpStream& ws, const ExecRecord& rec, int line_bytes,
     }
     t.mem_lines = static_cast<std::uint16_t>(n);
   } else if (rec.has_adder_op && capture_adder) {
-    // Pre-resolve the value-dependent speculation inputs per active lane;
-    // replay combines them with the CRF history, which is timing-dependent.
+    // The value-dependent speculation inputs of each active lane, as step()
+    // resolved them; replay combines them with the CRF history, which is
+    // timing-dependent.
     t.payload = static_cast<std::uint32_t>(ws.adder_lanes.size());
-    for (int lane = 0; lane < kWarpSize; ++lane) {
-      if (((rec.active_mask >> lane) & 1u) == 0) continue;
-      const AdderMicroOp& m = rec.adder[static_cast<std::size_t>(lane)];
-      ws.adder_lanes.push_back(
-          spec::lane_record(m.a, m.b, m.cin, m.num_slices));
+    for (std::uint32_t m = rec.active_mask; m != 0; m &= m - 1) {
+      ws.adder_lanes.push_back(rec.lanes.get(std::countr_zero(m)));
     }
   }
   ws.ops.push_back(t);

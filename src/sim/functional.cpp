@@ -159,6 +159,8 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
     if (mop.has_value()) {
       rec.has_adder_op = true;
       rec.adder[static_cast<std::size_t>(lane)] = *mop;
+      rec.lanes.set(lane, spec::lane_record(mop->a, mop->b, mop->cin,
+                                            mop->num_slices));
     }
   };
 

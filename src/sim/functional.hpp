@@ -16,6 +16,7 @@
 #include "src/sim/launch.hpp"
 #include "src/sim/memory.hpp"
 #include "src/sim/simt.hpp"
+#include "src/spec/predictor.hpp"
 
 namespace st2::sim {
 
@@ -84,6 +85,10 @@ struct ExecRecord {
 
   bool has_adder_op = false;
   std::array<AdderMicroOp, kWarpSize> adder{};  ///< valid where active
+  /// Each active adder lane's spec::lane_record, computed once by step():
+  /// capture copies it into the replay stream and the lattice reads it
+  /// eight lanes at a time. Valid where active.
+  spec::WarpLanes lanes{};
 
   bool is_mem = false;
   bool is_store = false;

@@ -4,9 +4,9 @@
 // all active lanes of a warp instruction read their history patterns
 // *before* any lane's outcome trains the tables (the CRF row is read once in
 // the register-read stage; updates land at write-back), then each lane in
-// order composes its prediction, resolves it and trains. Each lane probes
-// the table once: the read stage finds or inserts its entry and write-back
-// trains through that same entry.
+// order composes its prediction, resolves it and trains. A warp makes one
+// probe into the row table and runs the packed step (LatticeRule::step) on
+// the lane records step() stored in the ExecRecord.
 #pragma once
 
 #include <cstdint>

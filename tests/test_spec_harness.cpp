@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <vector>
+
+#include "src/common/rng.hpp"
 #include "src/isa/builder.hpp"
 #include "src/sim/spec_harness.hpp"
 #include "src/sim/trace_run.hpp"
+#include "tests/lattice_configs.hpp"
 
 namespace st2::sim {
 namespace {
@@ -85,6 +91,104 @@ TEST(SpecHarness, RecomputeAccountingMatchesOutcome) {
     EXPECT_LE(h.recomputes_per_misprediction(), 7.0);
   }
   EXPECT_GE(h.slice_recomputes(), h.mispredicted_ops());
+}
+
+/// Seeded random adder records: Gtid blocks of up to 32 warps revisited
+/// often enough that rows retrain, partial and divergent active masks, a
+/// small PC pool with full-width PCs, and 3/4/7/8-slice adds. Inactive
+/// lanes hold noise. Each active lane's lane bytes are the lane_record
+/// FunctionalCore::step would store for its micro-op.
+std::vector<ExecRecord> random_records(int n) {
+  Xoshiro256 rng(0x1a77ce5ULL);
+  constexpr std::uint32_t kPcs[] = {0, 1, 2, 3, 5, 8, 13, 17, 21, 34,
+                                    0xfffffff0u, 0xffffffffu};
+  constexpr int kSlices[] = {3, 4, 7, 8};
+  const auto operand = [&rng]() -> std::uint64_t {
+    const std::uint64_t raw = rng.next_u64();
+    switch (rng.next_below(4)) {
+      case 0: return raw;
+      case 1: return raw & 0xff;          // small: rarely carries
+      case 2: return raw | 0xffffffffu;   // long propagate run
+      default: return 0x1234;             // repeats: Prev learns it
+    }
+  };
+  std::vector<ExecRecord> recs(static_cast<std::size_t>(n));
+  for (ExecRecord& rec : recs) {
+    rec.pc = kPcs[rng.next_below(std::size(kPcs))];
+    rec.block_flat = static_cast<int>(rng.next_below(6));
+    rec.warp_in_block = static_cast<int>(rng.next_below(32));
+    const std::uint64_t pick = rng.next_below(4);
+    rec.active_mask = pick == 0   ? ~0u
+                      : pick == 1 ? 0xffffu >> rng.next_below(16)  // partial
+                                  : std::max(rng.next_u32(), 1u);
+    rec.has_adder_op = true;
+    for (int lane = 0; lane < kWarpSize; ++lane) {
+      const auto l = static_cast<std::size_t>(lane);
+      AdderMicroOp& m = rec.adder[l];
+      m.a = operand();
+      m.b = operand();
+      m.cin = rng.next_below(2) != 0;
+      m.num_slices = kSlices[rng.next_below(std::size(kSlices))];
+      if (((rec.active_mask >> lane) & 1u) != 0) {
+        rec.lanes.set(lane, spec::lane_record(m.a, m.b, m.cin, m.num_slices));
+      } else {
+        const std::uint32_t noise = rng.next_u32();
+        rec.lanes.peek_mask[l] = static_cast<std::uint8_t>(noise);
+        rec.lanes.peek_carries[l] = static_cast<std::uint8_t>(noise >> 8);
+        rec.lanes.actual[l] = static_cast<std::uint8_t>(noise >> 16);
+        rec.lanes.relevant[l] = static_cast<std::uint8_t>(noise >> 24);
+      }
+    }
+  }
+  return recs;
+}
+
+TEST(SpecHarness, WarpFeedMatchesTheOneOpPath) {
+  // The harness (one row probe and a packed step per warp) against a
+  // per-op CarrySpeculator replay of the same lanes: every active lane
+  // predicts first (the warp's register read), then resolves and trains in
+  // lane order. Every count and the table size must agree, for every
+  // lattice point a bench builds.
+  const std::vector<ExecRecord> recs = random_records(4000);
+  for (const spec::SpeculationConfig& cfg : test_support::lattice_configs()) {
+    SCOPED_TRACE(cfg.name());
+    SpeculationHarness h(cfg);
+    spec::CarrySpeculator one_op(cfg);
+    std::uint64_t ops = 0, mispredicted = 0, wrong_bits = 0, carry_bits = 0,
+                  recomputes = 0;
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+      const ExecRecord& rec = recs[i];
+      h.feed(rec);
+      std::array<spec::Prediction, kWarpSize> pred;
+      for (std::uint32_t m = rec.active_mask; m != 0; m &= m - 1) {
+        const int lane = std::countr_zero(m);
+        pred[static_cast<std::size_t>(lane)] =
+            one_op.predict(make_add_op(rec, lane));
+      }
+      for (std::uint32_t m = rec.active_mask; m != 0; m &= m - 1) {
+        const int lane = std::countr_zero(m);
+        const spec::AddOp op = make_add_op(rec, lane);
+        const spec::SpeculationOutcome out =
+            one_op.resolve(op, pred[static_cast<std::size_t>(lane)]);
+        ++ops;
+        mispredicted += out.any_misprediction();
+        wrong_bits += static_cast<std::uint64_t>(
+            std::popcount(static_cast<unsigned>(out.mispredicted)));
+        carry_bits += static_cast<std::uint64_t>(op.num_slices - 1);
+        recomputes += static_cast<std::uint64_t>(out.recompute_count());
+      }
+      ASSERT_EQ(h.mispredicted_ops(), mispredicted) << "record " << i;
+      ASSERT_EQ(h.speculator().table_entries(), one_op.table_entries())
+          << "record " << i;
+    }
+    EXPECT_GT(mispredicted, 0u);
+    EXPECT_EQ(h.ops(), ops);
+    EXPECT_EQ(h.mispredicted_ops(), mispredicted);
+    EXPECT_EQ(h.wrong_carry_bits(), wrong_bits);
+    EXPECT_EQ(h.carry_bits(), carry_bits);
+    EXPECT_EQ(h.slice_recomputes(), recomputes);
+    EXPECT_EQ(h.speculator().table_entries(), one_op.table_entries());
+  }
 }
 
 }  // namespace
