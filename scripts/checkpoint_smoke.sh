@@ -113,12 +113,14 @@ expect_invalid "truncated snapshot" trunc.st2
 # Stale format version: a file from a previous layout (version field at
 # offset 8, checked before the header CRC) must be rejected up front and
 # name the version mismatch, not misparse the payload.
-cp wd.st2 stale.st2
-printf '\001' | dd of=stale.st2 bs=1 seek=8 conv=notrunc 2>/dev/null
-expect_invalid "stale-version snapshot" stale.st2
-"$ST2SIM" run $KERNEL $ARGS --resume stale.st2 >/dev/null 2>stale.err
-grep -q 'unsupported snapshot format version 1' stale.err ||
-    fail "stale-version cause not named"
+for stale in 1 3; do
+    cp wd.st2 stale.st2
+    printf "\\00$stale" | dd of=stale.st2 bs=1 seek=8 conv=notrunc 2>/dev/null
+    expect_invalid "stale-version $stale snapshot" stale.st2
+    "$ST2SIM" run $KERNEL $ARGS --resume stale.st2 >/dev/null 2>stale.err
+    grep -q "unsupported snapshot format version $stale" stale.err ||
+        fail "stale-version $stale cause not named"
+done
 
 printf 'not a snapshot at all' >junk.st2
 expect_invalid "junk snapshot" junk.st2

@@ -818,18 +818,20 @@ void SmCore::release_barriers() {
 }
 
 void SmCore::commit_crf_writes() {
-  // Move the writes whose write-back stage is due into the CRF, then let
-  // the CRF arbitrate same-cycle collisions. The due watermark makes the
-  // no-op case (nothing in flight or nothing due yet) a single compare;
-  // when writes ARE due, the scan and its swap-remove compaction run
-  // exactly as before — commit order feeds the arbitration RNG draws, so
-  // it must not change.
+  // Hand the writes whose write-back stage is due to the predictor, which
+  // arbitrates same-cycle collisions. The due watermark makes the no-op
+  // case (nothing in flight or nothing due yet) a single compare; when
+  // writes ARE due, the scan and its swap-remove compaction run exactly as
+  // before — their order feeds the arbitration RNG draws, so it must not
+  // change.
   if (crf_due_min_ > now_) return;
   std::uint64_t min_left = ~std::uint64_t{0};
+  due_crf_.clear();
   for (std::size_t i = 0; i < pending_crf_.size();) {
     if (pending_crf_[i].due <= now_) {
-      crf_->request_write(pending_crf_[i].pc, pending_crf_[i].lane,
-                         pending_crf_[i].carries);
+      due_crf_.push_back(spec::CarryWrite{pending_crf_[i].pc,
+                                          pending_crf_[i].lane,
+                                          pending_crf_[i].carries});
       pending_crf_[i] = pending_crf_.back();
       pending_crf_.pop_back();
     } else {
@@ -838,7 +840,7 @@ void SmCore::commit_crf_writes() {
     }
   }
   crf_due_min_ = min_left;
-  crf_->commit_cycle();
+  crf_->commit(due_crf_);
 }
 
 void SmCore::seal_counters() {
@@ -879,8 +881,7 @@ void SmCore::validate_invariants() const {
   // legal 7-bit pattern — even under injected bit flips.
   const std::uint64_t crf_accounted = crf_->lane_writes() +
                                       crf_->write_conflicts() +
-                                      pending_crf_.size() +
-                                      crf_->pending_writes();
+                                      pending_crf_.size();
   if (counters_.crf_writes != crf_accounted) {
     throw SimError(SimErrorKind::kInvariantViolation,
                    "kernel '" + kernel_.name + "'",
@@ -1061,9 +1062,6 @@ void SmCore::restore_state(snapshot::Reader& r) {
     // The due watermark is derived state: rebuild it, never trust the file.
     crf_due_min_ = std::min(crf_due_min_, p.due);
   }
-  // A snapshot may carry writes already handed to the CRF but not yet
-  // committed; zero the watermark so the next commit pass flushes them.
-  if (crf_->pending_writes() != 0) crf_due_min_ = 0;
   const std::uint32_t n_resident = r.u32();
   r.require(n_resident <= static_cast<std::uint32_t>(cfg_.max_blocks_per_sm),
             "resident-block count out of range");

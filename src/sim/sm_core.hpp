@@ -293,13 +293,15 @@ class SmCore {
   std::size_t next_block_ = 0;  ///< next work_.blocks entry to admit
   /// Pending CRF write-backs, one flat arena reused across cycles (capacity
   /// is never released). Commit order must stay the insertion-plus-swap-
-  /// remove order of the original design: the CRF's write arbitration draws
-  /// its RNG per same-cycle (row, lane) group, so any reordering of
-  /// request_write calls would change arbitration winners and break
-  /// bit-identity. The `crf_due_min_` watermark (earliest due cycle, or
-  /// ~0 when empty) lets commit_crf_writes skip the scan entirely on the
-  /// overwhelming majority of cycles where nothing is due.
+  /// remove order of the original design: the write arbitration draws its
+  /// RNG per same-cycle cell group, so any reordering of a cycle's due
+  /// writes would change arbitration winners and break bit-identity. The
+  /// `crf_due_min_` watermark (earliest due cycle, or ~0 when empty) lets
+  /// commit_crf_writes skip the scan entirely on the overwhelming majority
+  /// of cycles where nothing is due. `due_crf_` is the scan's output, the
+  /// cycle's due writes in commit order (scratch, reused across cycles).
   std::vector<PendingCrfWrite> pending_crf_;
+  std::vector<spec::CarryWrite> due_crf_;
   std::uint64_t crf_due_min_ = ~std::uint64_t{0};
   std::vector<Resident> resident_;
 

@@ -38,7 +38,10 @@ namespace st2::snapshot {
 ///      the canonical policy spec string, and the payload bytes after it
 ///      are policy-shaped (CRF rows / MRU row / TAGE tables / static
 ///      pattern register)
-inline constexpr std::uint32_t kFormatVersion = 3;
+///   4  one write arbiter: a predictor's state is its table, then the
+///      arbitration RNG and the lane-write/conflict counters; the predictor
+///      no longer holds a pending-write queue or a row-read counter
+inline constexpr std::uint32_t kFormatVersion = 4;
 inline constexpr std::size_t kHeaderBytes = 36;
 
 /// Writes `content` to `path` crash-consistently: the bytes land in

@@ -1,21 +1,11 @@
 #include "src/spec/crf.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 #include "src/common/contracts.hpp"
+#include "src/snapshot/serial.hpp"
 
 namespace st2::spec {
-
-CarryRegisterFile::CarryRegisterFile(std::uint64_t seed) : rng_(seed) {
-  for (auto& row : rows_) row.fill(0);
-}
-
-std::uint8_t CarryRegisterFile::peek_lane(std::uint64_t pc, int lane) const {
-  ST2_EXPECTS(lane >= 0 && lane < kLanes);
-  return rows_[static_cast<std::size_t>(row_of(pc))]
-              [static_cast<std::size_t>(lane)];
-}
 
 void CarryRegisterFile::flip_bit(std::uint64_t pc, int lane, int bit) {
   ST2_EXPECTS(lane >= 0 && lane < kLanes);
@@ -39,80 +29,19 @@ bool CarryRegisterFile::entries_valid() const {
   return (msbs & 0x8080808080808080ULL) == 0;
 }
 
-void CarryRegisterFile::flush() {
-  for (auto& row : rows_) row.fill(0);
-  pending_.clear();
-}
-
-void CarryRegisterFile::commit_cycle() {
-  if (pending_.empty()) return;
-  // Group writers per (row, lane); a random one wins, the rest are dropped.
-  std::sort(pending_.begin(), pending_.end(),
-            [](const PendingWrite& x, const PendingWrite& y) {
-              return x.row_lane < y.row_lane;
-            });
-  std::size_t i = 0;
-  while (i < pending_.size()) {
-    std::size_t j = i + 1;
-    while (j < pending_.size() &&
-           pending_[j].row_lane == pending_[i].row_lane) {
-      ++j;
-    }
-    const std::size_t winner = i + rng_.next_below(j - i);
-    const int row = pending_[winner].row_lane / kLanes;
-    const int lane = pending_[winner].row_lane % kLanes;
-    rows_[static_cast<std::size_t>(row)][static_cast<std::size_t>(lane)] =
-        pending_[winner].carries;
-    ++lane_writes_;
-    write_conflicts_ += (j - i) - 1;
-    i = j;
-  }
-  pending_.clear();
-}
-
-void CarryRegisterFile::save(snapshot::Writer& w) const {
+void CarryRegisterFile::save_table(snapshot::Writer& w) const {
   for (const auto& row : rows_) {
     for (const std::uint8_t e : row) w.u8(e);
   }
-  w.u32(static_cast<std::uint32_t>(pending_.size()));
-  for (const PendingWrite& p : pending_) {
-    w.u16(p.row_lane);
-    w.u8(p.carries);
-  }
-  std::uint64_t rng_state[4];
-  rng_.get_state(rng_state);
-  for (const std::uint64_t word : rng_state) w.u64(word);
-  w.u64(row_reads_);
-  w.u64(lane_writes_);
-  w.u64(write_conflicts_);
 }
 
-void CarryRegisterFile::restore(snapshot::Reader& r) {
+void CarryRegisterFile::restore_table(snapshot::Reader& r) {
   for (auto& row : rows_) {
     for (std::uint8_t& e : row) {
       e = r.u8();
       r.require(e < 0x80, "CRF entry is not a legal 7-bit pattern");
     }
   }
-  const std::uint32_t n_pending = r.u32();
-  r.require(n_pending <= kRows * kLanes * 64u,
-            "CRF pending-write count out of range");
-  pending_.clear();
-  pending_.reserve(n_pending);
-  for (std::uint32_t i = 0; i < n_pending; ++i) {
-    PendingWrite p;
-    p.row_lane = r.u16();
-    r.require(p.row_lane < kRows * kLanes, "CRF pending row/lane out of range");
-    p.carries = r.u8();
-    r.require(p.carries < 0x80, "CRF pending carries out of range");
-    pending_.push_back(p);
-  }
-  std::uint64_t rng_state[4];
-  for (std::uint64_t& word : rng_state) word = r.u64();
-  rng_.set_state(rng_state);
-  row_reads_ = r.u64();
-  lane_writes_ = r.u64();
-  write_conflicts_ = r.u64();
 }
 
 }  // namespace st2::spec

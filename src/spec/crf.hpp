@@ -12,19 +12,14 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
-#include "src/common/contracts.hpp"
-#include "src/common/rng.hpp"
-#include "src/snapshot/serial.hpp"
 #include "src/spec/policy.hpp"
 
 namespace st2::spec {
 
-/// The default CarryPredictor policy (`--spec-policy crf`). The internals —
-/// storage layout, arbitration order, RNG draws, snapshot bytes — are the
-/// pre-framework implementation unchanged, which is what keeps the default
-/// policy byte-identical to the pre-refactor binary.
+/// The default CarryPredictor policy (`--spec-policy crf`). A write's cell
+/// is `row * kLanes + lane`, so warps that write the same (row, lane) in
+/// one cycle arbitrate in CarryPredictor::commit.
 class CarryRegisterFile final : public CarryPredictor {
  public:
   static constexpr int kRows = 16;
@@ -33,36 +28,14 @@ class CarryRegisterFile final : public CarryPredictor {
   static constexpr int kRowBits = kLanes * kBitsPerLane;  // 224
   static constexpr int kTotalBytes = kRows * kRowBits / 8;  // 448
 
-  explicit CarryRegisterFile(std::uint64_t seed = 0);
+  explicit CarryRegisterFile(std::uint64_t seed = 0) : CarryPredictor(seed) {}
 
   /// Register-read-stage access: the 7-bit patterns of all 32 lanes for the
-  /// row PC[3:0]. Counts one row read. Inline: called once per adder
-  /// instruction issued in the replay hot path.
+  /// row PC[3:0]. Inline: called once per adder instruction issued in the
+  /// replay hot path.
   std::array<std::uint8_t, kLanes> read_row(std::uint64_t pc) override {
-    ++row_reads_;
     return rows_[static_cast<std::size_t>(row_of(pc))];
   }
-
-  /// Peeks a single lane without charging a read (tests/analysis).
-  std::uint8_t peek_lane(std::uint64_t pc, int lane) const;
-
-  /// Queues a write-back-stage update for the current cycle. Inline: called
-  /// once per mispredicting lane in the replay hot path.
-  void request_write(std::uint64_t pc, int lane, std::uint8_t carries) override {
-    ST2_EXPECTS(lane >= 0 && lane < kLanes);
-    ST2_EXPECTS(carries < 0x80);
-    pending_.push_back(PendingWrite{
-        static_cast<std::uint16_t>(row_of(pc) * kLanes + lane), carries});
-  }
-
-  /// Applies the cycle's queued writes. Multiple writers to the same
-  /// (row, lane) arbitrate randomly; losers are dropped (their thread will
-  /// simply mispredict-and-retrain later). Clears the queue.
-  void commit_cycle() override;
-
-  /// Drops the history table and queued writes; counters and the
-  /// arbitration RNG stream are kept.
-  void flush() override;
 
   /// SEU-style fault injection (src/fault): XORs one bit of the stored 7-bit
   /// pattern of (row PC[3:0], lane). Flipping within the 7 pattern bits keeps
@@ -74,34 +47,23 @@ class CarryRegisterFile final : public CarryPredictor {
   /// Checked (always-on) when an SM core seals its counters.
   bool entries_valid() const override;
 
-  /// Checkpoint support: serializes the full history table, the pending
-  /// write queue (order matters for random arbitration), the arbitration RNG
-  /// state, and the access counters. `restore` rejects out-of-range
-  /// row/lane indices and illegal (>= 0x80) patterns with the typed
-  /// snapshot error.
-  void save(snapshot::Writer& w) const override;
-  void restore(snapshot::Reader& r) override;
-
-  std::uint64_t row_reads() const override { return row_reads_; }
-  std::uint64_t lane_writes() const override { return lane_writes_; }
-  std::uint64_t write_conflicts() const override { return write_conflicts_; }
-  std::size_t pending_writes() const override { return pending_.size(); }
   PredictorKind kind() const override { return PredictorKind::kCrf; }
 
  private:
   static int row_of(std::uint64_t pc) { return static_cast<int>(pc & 0xf); }
 
-  struct PendingWrite {
-    std::uint16_t row_lane;  // row * kLanes + lane
-    std::uint8_t carries;
-  };
+  std::uint64_t cell(std::uint64_t pc, int lane) const override {
+    return static_cast<std::uint64_t>(row_of(pc) * kLanes + lane);
+  }
+  void write(std::uint64_t cell, std::uint64_t, std::uint8_t carries) override {
+    rows_[cell / kLanes][cell % kLanes] = carries;
+  }
+  /// The history table; `restore_table` rejects illegal (>= 0x80) patterns
+  /// with the typed snapshot error.
+  void save_table(snapshot::Writer& w) const override;
+  void restore_table(snapshot::Reader& r) override;
 
   std::array<std::array<std::uint8_t, kLanes>, kRows> rows_{};
-  std::vector<PendingWrite> pending_;
-  Xoshiro256 rng_;
-  std::uint64_t row_reads_ = 0;
-  std::uint64_t lane_writes_ = 0;
-  std::uint64_t write_conflicts_ = 0;
 };
 
 }  // namespace st2::spec

@@ -166,6 +166,52 @@ long long PredictorConfig::table_bytes_per_sm() const {
   return 0;
 }
 
+void CarryPredictor::commit(std::span<const CarryWrite> writes) {
+  if (writes.empty()) return;
+  resolved_.clear();
+  for (const CarryWrite& w : writes) {
+    ST2_EXPECTS(w.lane >= 0 && w.lane < kLanes);
+    ST2_EXPECTS(w.carries < 0x80);
+    resolved_.push_back(Resolved{cell(w.pc, w.lane), w.pc, w.carries});
+  }
+  // Group writers per cell; a random one wins, the rest are dropped.
+  std::sort(resolved_.begin(), resolved_.end(),
+            [](const Resolved& x, const Resolved& y) {
+              return x.cell < y.cell;
+            });
+  std::size_t i = 0;
+  while (i < resolved_.size()) {
+    std::size_t j = i + 1;
+    while (j < resolved_.size() && resolved_[j].cell == resolved_[i].cell) {
+      ++j;
+    }
+    const Resolved& w = resolved_[i + rng_.next_below(j - i)];
+    write(w.cell, w.pc, w.carries);
+    ++lane_writes_;
+    write_conflicts_ += (j - i) - 1;
+    i = j;
+  }
+  resolved_.clear();
+}
+
+void CarryPredictor::save(snapshot::Writer& w) const {
+  save_table(w);
+  std::uint64_t rng_state[4];
+  rng_.get_state(rng_state);
+  for (const std::uint64_t word : rng_state) w.u64(word);
+  w.u64(lane_writes_);
+  w.u64(write_conflicts_);
+}
+
+void CarryPredictor::restore(snapshot::Reader& r) {
+  restore_table(r);
+  std::uint64_t rng_state[4];
+  for (std::uint64_t& word : rng_state) word = r.u64();
+  rng_.set_state(rng_state);
+  lane_writes_ = r.u64();
+  write_conflicts_ = r.u64();
+}
+
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -174,41 +220,10 @@ namespace {
 // mispredicted with, regardless of which instruction produced it.
 class MruPredictor final : public CarryPredictor {
  public:
-  explicit MruPredictor(std::uint64_t seed) : rng_(seed) { table_.fill(0); }
+  explicit MruPredictor(std::uint64_t seed) : CarryPredictor(seed) {}
 
   std::array<std::uint8_t, 32> read_row(std::uint64_t) override {
-    ++row_reads_;
     return table_;
-  }
-
-  void request_write(std::uint64_t, int lane, std::uint8_t carries) override {
-    ST2_EXPECTS(lane >= 0 && lane < kLanes);
-    ST2_EXPECTS(carries < 0x80);
-    pending_.push_back(Pending{static_cast<std::uint8_t>(lane), carries});
-  }
-
-  void commit_cycle() override {
-    if (pending_.empty()) return;
-    std::sort(pending_.begin(), pending_.end(),
-              [](const Pending& x, const Pending& y) {
-                return x.lane < y.lane;
-              });
-    std::size_t i = 0;
-    while (i < pending_.size()) {
-      std::size_t j = i + 1;
-      while (j < pending_.size() && pending_[j].lane == pending_[i].lane) ++j;
-      const std::size_t winner = i + rng_.next_below(j - i);
-      table_[pending_[winner].lane] = pending_[winner].carries;
-      ++lane_writes_;
-      write_conflicts_ += (j - i) - 1;
-      i = j;
-    }
-    pending_.clear();
-  }
-
-  void flush() override {
-    table_.fill(0);
-    pending_.clear();
   }
 
   void flip_bit(std::uint64_t, int lane, int bit) override {
@@ -225,107 +240,46 @@ class MruPredictor final : public CarryPredictor {
     return true;
   }
 
-  void save(snapshot::Writer& w) const override {
-    for (const std::uint8_t e : table_) w.u8(e);
-    w.u32(static_cast<std::uint32_t>(pending_.size()));
-    for (const Pending& p : pending_) {
-      w.u8(p.lane);
-      w.u8(p.carries);
-    }
-    std::uint64_t rng_state[4];
-    rng_.get_state(rng_state);
-    for (const std::uint64_t word : rng_state) w.u64(word);
-    w.u64(row_reads_);
-    w.u64(lane_writes_);
-    w.u64(write_conflicts_);
+  PredictorKind kind() const override { return PredictorKind::kMru; }
+
+ private:
+  std::uint64_t cell(std::uint64_t, int lane) const override {
+    return static_cast<std::uint64_t>(lane);
+  }
+  void write(std::uint64_t cell, std::uint64_t, std::uint8_t carries) override {
+    table_[cell] = carries;
   }
 
-  void restore(snapshot::Reader& r) override {
+  void save_table(snapshot::Writer& w) const override {
+    for (const std::uint8_t e : table_) w.u8(e);
+  }
+  void restore_table(snapshot::Reader& r) override {
     for (std::uint8_t& e : table_) {
       e = r.u8();
       r.require(e < 0x80, "mru entry is not a legal 7-bit pattern");
     }
-    const std::uint32_t n = r.u32();
-    r.require(n <= 1u << 20, "mru pending-write count out of range");
-    pending_.clear();
-    pending_.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      Pending p;
-      p.lane = r.u8();
-      r.require(p.lane < kLanes, "mru pending lane out of range");
-      p.carries = r.u8();
-      r.require(p.carries < 0x80, "mru pending carries out of range");
-      pending_.push_back(p);
-    }
-    std::uint64_t rng_state[4];
-    for (std::uint64_t& word : rng_state) word = r.u64();
-    rng_.set_state(rng_state);
-    row_reads_ = r.u64();
-    lane_writes_ = r.u64();
-    write_conflicts_ = r.u64();
   }
 
-  std::uint64_t row_reads() const override { return row_reads_; }
-  std::uint64_t lane_writes() const override { return lane_writes_; }
-  std::uint64_t write_conflicts() const override { return write_conflicts_; }
-  std::size_t pending_writes() const override { return pending_.size(); }
-  PredictorKind kind() const override { return PredictorKind::kMru; }
-
- private:
-  struct Pending {
-    std::uint8_t lane;
-    std::uint8_t carries;
-  };
-
   std::array<std::uint8_t, 32> table_{};
-  std::vector<Pending> pending_;
-  Xoshiro256 rng_;
-  std::uint64_t row_reads_ = 0;
-  std::uint64_t lane_writes_ = 0;
-  std::uint64_t write_conflicts_ = 0;
 };
 
 // ---------------------------------------------------------------------------
 // static: a hard-wired profile pattern. Never trains — write-backs still
-// queue and arbitrate (so the SM core's write accounting is identical), but
-// the winning value is dropped. flip_bit models an SEU in the profile
-// register itself: the flip persists until the next flip.
+// arbitrate (so the SM core's write accounting is identical), but the
+// winning value is dropped. flip_bit models an SEU in the profile register
+// itself: the flip persists until the next flip.
 class StaticPredictor final : public CarryPredictor {
  public:
   StaticPredictor(std::uint8_t pattern, std::uint64_t seed)
-      : pattern_(pattern), rng_(seed) {
+      : CarryPredictor(seed), pattern_(pattern) {
     ST2_EXPECTS(pattern < 0x80);
   }
 
   std::array<std::uint8_t, 32> read_row(std::uint64_t) override {
-    ++row_reads_;
     std::array<std::uint8_t, 32> row;
     row.fill(pattern_);
     return row;
   }
-
-  void request_write(std::uint64_t, int lane, std::uint8_t carries) override {
-    ST2_EXPECTS(lane >= 0 && lane < kLanes);
-    ST2_EXPECTS(carries < 0x80);
-    pending_.push_back(static_cast<std::uint8_t>(lane));
-  }
-
-  void commit_cycle() override {
-    if (pending_.empty()) return;
-    std::sort(pending_.begin(), pending_.end());
-    std::size_t i = 0;
-    while (i < pending_.size()) {
-      std::size_t j = i + 1;
-      while (j < pending_.size() && pending_[j] == pending_[i]) ++j;
-      (void)rng_.next_below(j - i);  // arbitration draw, winner discarded
-      ++lane_writes_;
-      write_conflicts_ += (j - i) - 1;
-      i = j;
-    }
-    pending_.clear();
-  }
-
-  void flush() override { pending_.clear(); }
 
   void flip_bit(std::uint64_t, int, int bit) override {
     ST2_EXPECTS(bit >= 0 && bit < 7);
@@ -334,51 +288,21 @@ class StaticPredictor final : public CarryPredictor {
 
   bool entries_valid() const override { return pattern_ < 0x80; }
 
-  void save(snapshot::Writer& w) const override {
-    w.u8(pattern_);
-    w.u32(static_cast<std::uint32_t>(pending_.size()));
-    for (const std::uint8_t lane : pending_) w.u8(lane);
-    std::uint64_t rng_state[4];
-    rng_.get_state(rng_state);
-    for (const std::uint64_t word : rng_state) w.u64(word);
-    w.u64(row_reads_);
-    w.u64(lane_writes_);
-    w.u64(write_conflicts_);
-  }
-
-  void restore(snapshot::Reader& r) override {
-    pattern_ = r.u8();
-    r.require(pattern_ < 0x80, "static pattern is not a legal 7-bit value");
-    const std::uint32_t n = r.u32();
-    r.require(n <= 1u << 20, "static pending-write count out of range");
-    pending_.clear();
-    pending_.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint8_t lane = r.u8();
-      r.require(lane < kLanes, "static pending lane out of range");
-      pending_.push_back(lane);
-    }
-    std::uint64_t rng_state[4];
-    for (std::uint64_t& word : rng_state) word = r.u64();
-    rng_.set_state(rng_state);
-    row_reads_ = r.u64();
-    lane_writes_ = r.u64();
-    write_conflicts_ = r.u64();
-  }
-
-  std::uint64_t row_reads() const override { return row_reads_; }
-  std::uint64_t lane_writes() const override { return lane_writes_; }
-  std::uint64_t write_conflicts() const override { return write_conflicts_; }
-  std::size_t pending_writes() const override { return pending_.size(); }
   PredictorKind kind() const override { return PredictorKind::kStatic; }
 
  private:
+  std::uint64_t cell(std::uint64_t, int lane) const override {
+    return static_cast<std::uint64_t>(lane);
+  }
+  void write(std::uint64_t, std::uint64_t, std::uint8_t) override {}
+
+  void save_table(snapshot::Writer& w) const override { w.u8(pattern_); }
+  void restore_table(snapshot::Reader& r) override {
+    pattern_ = r.u8();
+    r.require(pattern_ < 0x80, "static pattern is not a legal 7-bit value");
+  }
+
   std::uint8_t pattern_;
-  std::vector<std::uint8_t> pending_;  // lanes only: the value never lands
-  Xoshiro256 rng_;
-  std::uint64_t row_reads_ = 0;
-  std::uint64_t lane_writes_ = 0;
-  std::uint64_t write_conflicts_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -397,9 +321,7 @@ class TagePredictor final : public CarryPredictor {
   static constexpr int kRing = 64;
 
   TagePredictor(const PredictorConfig& cfg, std::uint64_t seed)
-      : cfg_(cfg), rng_(seed) {
-    base_.fill(0);
-    ring_.fill(0);
+      : CarryPredictor(seed), cfg_(cfg) {
     tables_.assign(
         static_cast<std::size_t>(cfg_.tage_tables) *
             static_cast<std::size_t>(cfg_.tage_entries),
@@ -407,7 +329,6 @@ class TagePredictor final : public CarryPredictor {
   }
 
   std::array<std::uint8_t, 32> read_row(std::uint64_t pc) override {
-    ++row_reads_;
     std::array<std::uint8_t, 32> out = base_;
     for (int t = cfg_.tage_tables - 1; t >= 0; --t) {
       const std::uint64_t h = folded(pc, hist_len(t));
@@ -422,74 +343,6 @@ class TagePredictor final : public CarryPredictor {
     ring_[ring_pos_] = static_cast<std::uint32_t>(pc);
     ring_pos_ = (ring_pos_ + 1) % kRing;
     return out;
-  }
-
-  void request_write(std::uint64_t pc, int lane,
-                     std::uint8_t carries) override {
-    ST2_EXPECTS(lane >= 0 && lane < kLanes);
-    ST2_EXPECTS(carries < 0x80);
-    pending_.push_back(Pending{pc, static_cast<std::uint8_t>(lane), carries});
-  }
-
-  void commit_cycle() override {
-    if (pending_.empty()) return;
-    // Resolve each write to its storage cell with the update-time history,
-    // then arbitrate same-cell writers exactly like the CRF.
-    struct Resolved {
-      std::uint64_t cell;
-      std::uint64_t pc;
-      int provider;  // -1 = base row
-      std::uint32_t index;
-      std::uint8_t lane;
-      std::uint8_t carries;
-    };
-    std::vector<Resolved> writes;
-    writes.reserve(pending_.size());
-    for (const Pending& p : pending_) {
-      Resolved w{0, p.pc, -1, 0, p.lane, p.carries};
-      for (int t = cfg_.tage_tables - 1; t >= 0; --t) {
-        const std::uint64_t h = folded(p.pc, hist_len(t));
-        const std::uint32_t idx = index_of(h);
-        const Entry& e = entry(t, idx);
-        if (e.valid && e.tag == tag_of(h)) {
-          w.provider = t;
-          w.index = idx;
-          break;
-        }
-      }
-      w.cell = w.provider < 0
-                   ? p.lane
-                   : kLanes +
-                         (static_cast<std::uint64_t>(w.provider) *
-                              static_cast<std::uint64_t>(cfg_.tage_entries) +
-                          w.index) *
-                             kLanes +
-                         p.lane;
-      writes.push_back(w);
-    }
-    std::sort(writes.begin(), writes.end(),
-              [](const Resolved& x, const Resolved& y) {
-                return x.cell < y.cell;
-              });
-    std::size_t i = 0;
-    while (i < writes.size()) {
-      std::size_t j = i + 1;
-      while (j < writes.size() && writes[j].cell == writes[i].cell) ++j;
-      const Resolved& w = writes[i + rng_.next_below(j - i)];
-      apply(w.pc, w.provider, w.index, w.lane, w.carries);
-      ++lane_writes_;
-      write_conflicts_ += (j - i) - 1;
-      i = j;
-    }
-    pending_.clear();
-  }
-
-  void flush() override {
-    base_.fill(0);
-    ring_.fill(0);
-    ring_pos_ = 0;
-    std::fill(tables_.begin(), tables_.end(), Entry{});
-    pending_.clear();
   }
 
   void flip_bit(std::uint64_t, int lane, int bit) override {
@@ -511,7 +364,50 @@ class TagePredictor final : public CarryPredictor {
     return true;
   }
 
-  void save(snapshot::Writer& w) const override {
+  PredictorKind kind() const override { return PredictorKind::kTage; }
+
+ private:
+  struct Entry {
+    std::array<std::uint8_t, 32> row{};
+    std::uint16_t tag = 0;
+    std::uint8_t valid = 0;
+    std::uint8_t useful = 0;
+  };
+
+  /// Resolves the write with the update-time history. A cell is
+  /// `row * kLanes + lane`, where row 0 is the base row and row
+  /// `1 + provider * entries + index` is a tagged entry.
+  std::uint64_t cell(std::uint64_t pc, int lane) const override {
+    std::uint64_t row = 0;
+    for (int t = cfg_.tage_tables - 1; t >= 0; --t) {
+      const std::uint64_t h = folded(pc, hist_len(t));
+      const std::uint32_t idx = index_of(h);
+      const Entry& e = entry(t, idx);
+      if (e.valid && e.tag == tag_of(h)) {
+        row = 1 +
+              static_cast<std::uint64_t>(t) *
+                  static_cast<std::uint64_t>(cfg_.tage_entries) +
+              idx;
+        break;
+      }
+    }
+    return row * kLanes + static_cast<std::uint64_t>(lane);
+  }
+
+  void write(std::uint64_t cell, std::uint64_t pc,
+             std::uint8_t carries) override {
+    const std::uint64_t row = cell / kLanes;
+    const int lane = static_cast<int>(cell % kLanes);
+    if (row == 0) {
+      apply(pc, -1, 0, lane, carries);
+      return;
+    }
+    const auto entries = static_cast<std::uint64_t>(cfg_.tage_entries);
+    apply(pc, static_cast<int>((row - 1) / entries),
+          static_cast<std::uint32_t>((row - 1) % entries), lane, carries);
+  }
+
+  void save_table(snapshot::Writer& w) const override {
     for (const std::uint8_t e : base_) w.u8(e);
     for (const std::uint32_t p : ring_) w.u32(p);
     w.u32(ring_pos_);
@@ -521,21 +417,9 @@ class TagePredictor final : public CarryPredictor {
       w.u8(e.useful);
       for (const std::uint8_t v : e.row) w.u8(v);
     }
-    w.u32(static_cast<std::uint32_t>(pending_.size()));
-    for (const Pending& p : pending_) {
-      w.u64(p.pc);
-      w.u8(p.lane);
-      w.u8(p.carries);
-    }
-    std::uint64_t rng_state[4];
-    rng_.get_state(rng_state);
-    for (const std::uint64_t word : rng_state) w.u64(word);
-    w.u64(row_reads_);
-    w.u64(lane_writes_);
-    w.u64(write_conflicts_);
   }
 
-  void restore(snapshot::Reader& r) override {
+  void restore_table(snapshot::Reader& r) override {
     for (std::uint8_t& e : base_) {
       e = r.u8();
       r.require(e < 0x80, "tage base entry is not a legal 7-bit pattern");
@@ -555,46 +439,7 @@ class TagePredictor final : public CarryPredictor {
         r.require(v < 0x80, "tage entry is not a legal 7-bit pattern");
       }
     }
-    const std::uint32_t n = r.u32();
-    r.require(n <= 1u << 20, "tage pending-write count out of range");
-    pending_.clear();
-    pending_.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      Pending p;
-      p.pc = r.u64();
-      p.lane = r.u8();
-      r.require(p.lane < kLanes, "tage pending lane out of range");
-      p.carries = r.u8();
-      r.require(p.carries < 0x80, "tage pending carries out of range");
-      pending_.push_back(p);
-    }
-    std::uint64_t rng_state[4];
-    for (std::uint64_t& word : rng_state) word = r.u64();
-    rng_.set_state(rng_state);
-    row_reads_ = r.u64();
-    lane_writes_ = r.u64();
-    write_conflicts_ = r.u64();
   }
-
-  std::uint64_t row_reads() const override { return row_reads_; }
-  std::uint64_t lane_writes() const override { return lane_writes_; }
-  std::uint64_t write_conflicts() const override { return write_conflicts_; }
-  std::size_t pending_writes() const override { return pending_.size(); }
-  PredictorKind kind() const override { return PredictorKind::kTage; }
-
- private:
-  struct Entry {
-    std::array<std::uint8_t, 32> row{};
-    std::uint16_t tag = 0;
-    std::uint8_t valid = 0;
-    std::uint8_t useful = 0;
-  };
-
-  struct Pending {
-    std::uint64_t pc;
-    std::uint8_t lane;
-    std::uint8_t carries;
-  };
 
   int hist_len(int table) const { return cfg_.tage_min_hist << table; }
 
@@ -664,11 +509,6 @@ class TagePredictor final : public CarryPredictor {
   std::array<std::uint32_t, kRing> ring_{};
   std::uint32_t ring_pos_ = 0;
   std::vector<Entry> tables_;
-  std::vector<Pending> pending_;
-  Xoshiro256 rng_;
-  std::uint64_t row_reads_ = 0;
-  std::uint64_t lane_writes_ = 0;
-  std::uint64_t write_conflicts_ = 0;
 };
 
 }  // namespace

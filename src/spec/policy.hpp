@@ -1,16 +1,18 @@
-// Pluggable carry-predictor framework (ROADMAP item 2).
+// Pluggable carry-predictor framework.
 //
 // The paper's Carry Register File is one point in a large predictor design
 // space. `CarryPredictor` is the seam that lets competing policies race on
 // the same replay path: the SM core reads a 32-lane row of 7-bit carry
-// patterns per warp adder instruction (predict hook), queues the true
-// pattern of every mispredicting lane at write-back (train hook), and
-// commits the cycle's queued writes under the same random same-cell
-// arbitration the CRF models. Any prediction source is *safe* — detection
-// compares against the captured ground truth and repair always produces the
-// exact sum — so a policy can only change mispredict rates, timing and
-// energy, never architectural results. The differential test net in
-// tests/test_spec_property.cpp enforces exactly that.
+// patterns per warp adder instruction (predict hook), and at write-back
+// hands over each cycle's true patterns of the mispredicting lanes
+// (`commit`), which the base class arbitrates once for every policy with
+// the CRF's random same-cell arbitration. A policy only supplies storage:
+// where a write lands (`cell`) and how it lands (`write`). Any prediction
+// source is *safe* — detection compares against the captured ground truth
+// and repair always produces the exact sum — so a policy can only change
+// mispredict rates, timing and energy, never architectural results. The
+// differential test net in tests/test_spec_property.cpp enforces exactly
+// that.
 //
 // Registered policies (st2sim --spec-policy NAME[,key=val...]):
 //   crf     the paper's 16x224-bit Carry Register File (default)
@@ -22,7 +24,11 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
+
+#include "src/common/rng.hpp"
 
 namespace st2::snapshot {
 class Writer;
@@ -69,16 +75,21 @@ struct PredictorConfig {
   bool operator==(const PredictorConfig&) const = default;
 };
 
+/// One lane's write-back: the true carry pattern of a mispredicting lane.
+struct CarryWrite {
+  std::uint64_t pc;
+  int lane;
+  std::uint8_t carries;
+};
+
 /// Per-SM carry-prediction policy. One instance per SM core, seeded from
 /// the run seed so every policy is bit-identical across --jobs N.
 ///
 /// Contract (what SmCore::validate_invariants relies on):
-///  - read_row counts exactly one row read per call;
-///  - request_write queues (never applies) a lane update; commit_cycle
-///    arbitrates same-cell writers exactly like the CRF: one winner counted
-///    in lane_writes(), the rest in write_conflicts(), so
-///    lane_writes() + write_conflicts() + pending_writes() accounts for
-///    every request ever queued;
+///  - commit arbitrates same-cell writers exactly like the CRF: one winner
+///    counted in lane_writes(), the rest in write_conflicts(), so
+///    lane_writes() + write_conflicts() accounts for every write ever
+///    committed;
 ///  - entries_valid() holds after any interleaving of operations, including
 ///    flip_bit fault injections (patterns stay legal 7-bit values);
 ///  - save/restore round-trip the complete state bit-identically and
@@ -86,23 +97,20 @@ struct PredictorConfig {
 ///    error.
 class CarryPredictor {
  public:
+  explicit CarryPredictor(std::uint64_t seed) : rng_(seed) {}
   virtual ~CarryPredictor() = default;
 
   /// Predict hook: the 7-bit carry patterns of all 32 lanes for this PC,
   /// read once per warp adder instruction in the register-read stage.
   virtual std::array<std::uint8_t, 32> read_row(std::uint64_t pc) = 0;
 
-  /// Train hook: queues the true pattern of one mispredicting lane for the
-  /// current cycle's write-back.
-  virtual void request_write(std::uint64_t pc, int lane,
-                             std::uint8_t carries) = 0;
-
-  /// Applies the cycle's queued writes with random same-cell arbitration.
-  virtual void commit_cycle() = 0;
-
-  /// Flush hook: drops all learned state (tables and queued writes) while
-  /// keeping counters and the arbitration RNG stream.
-  virtual void flush() = 0;
+  /// Train hook: applies one cycle's due write-backs with random same-cell
+  /// arbitration. Every write is resolved to its storage cell before any
+  /// lands; the writes are sorted by cell and one RNG draw per cell picks
+  /// the winner, the rest are dropped (their thread will simply
+  /// mispredict-and-retrain later). The draws depend on the order of
+  /// `writes`, so callers must hand them over in a fixed order.
+  void commit(std::span<const CarryWrite> writes);
 
   /// SEU-style fault injection (src/fault): XORs one of the 7 pattern bits
   /// of the policy's storage cell for (pc, lane). Must keep entries_valid.
@@ -111,17 +119,38 @@ class CarryPredictor {
   /// Consistency invariant: every stored pattern is a legal 7-bit value.
   virtual bool entries_valid() const = 0;
 
-  /// Checkpoint support; `restore` rejects malformed bytes with the typed
+  /// Checkpoint support: the policy's table, then the arbitration RNG and
+  /// the write counters. `restore` rejects malformed bytes with the typed
   /// snapshot error, never UB.
-  virtual void save(snapshot::Writer& w) const = 0;
-  virtual void restore(snapshot::Reader& r) = 0;
+  void save(snapshot::Writer& w) const;
+  void restore(snapshot::Reader& r);
 
-  virtual std::uint64_t row_reads() const = 0;
-  virtual std::uint64_t lane_writes() const = 0;
-  virtual std::uint64_t write_conflicts() const = 0;
-  virtual std::size_t pending_writes() const = 0;
+  std::uint64_t lane_writes() const { return lane_writes_; }
+  std::uint64_t write_conflicts() const { return write_conflicts_; }
 
   virtual PredictorKind kind() const = 0;
+
+ protected:
+  /// The storage cell a write of (pc, lane) lands in; same-cell writes of
+  /// one cycle arbitrate. Resolved for every write before any write lands.
+  virtual std::uint64_t cell(std::uint64_t pc, int lane) const = 0;
+  /// Lands an arbitration winner in `cell` (as returned by `cell`).
+  virtual void write(std::uint64_t cell, std::uint64_t pc,
+                     std::uint8_t carries) = 0;
+  virtual void save_table(snapshot::Writer& w) const = 0;
+  virtual void restore_table(snapshot::Reader& r) = 0;
+
+ private:
+  struct Resolved {
+    std::uint64_t cell;
+    std::uint64_t pc;
+    std::uint8_t carries;
+  };
+
+  std::vector<Resolved> resolved_;  ///< commit's scratch, empty between calls
+  Xoshiro256 rng_;
+  std::uint64_t lane_writes_ = 0;
+  std::uint64_t write_conflicts_ = 0;
 };
 
 /// Instantiates the selected policy for one SM.

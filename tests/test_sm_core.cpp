@@ -251,7 +251,6 @@ TEST(SmCore, SpeculationCountersAreInternallyConsistent) {
       // Every mispredicting lane requests exactly one CRF write-back, and
       // each request lands as a lane write or loses arbitration.
       EXPECT_EQ(c.crf_writes, c.adder_mispredicts);
-      EXPECT_EQ(core.crf().pending_writes(), 0u);
       EXPECT_EQ(core.crf().lane_writes() + core.crf().write_conflicts(),
                 c.crf_writes);
       EXPECT_TRUE(core.crf().entries_valid());
@@ -259,7 +258,6 @@ TEST(SmCore, SpeculationCountersAreInternallyConsistent) {
       EXPECT_LE(c.warp_adder_stalls, c.warp_adder_insts);
       // Each adder warp instruction reads its CRF row exactly once.
       EXPECT_EQ(c.crf_row_reads, c.warp_adder_insts);
-      EXPECT_EQ(core.crf().row_reads(), c.crf_row_reads);
       EXPECT_LE(c.adder_mispredicts, c.adder_thread_ops);
       if (i == 1) acc_rate[policy] = c.adder_misprediction_rate();
     }

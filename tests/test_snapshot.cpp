@@ -177,13 +177,13 @@ TEST_F(SnapshotFileTest, PreviousFormatVersionIsRejectedByTheVersionCheck) {
   // Synthesize snapshots whose headers declare each PREVIOUS format version
   // but are otherwise pristine — header CRC recomputed over the patched
   // bytes — so the rejection can only come from the version check itself,
-  // not from corruption detection. Guards the v2 -> v3 layout change
-  // (per-SM predictor state preceded by a policy tag): a v2 payload misread
-  // under the v3 layout would be garbage, so stale files must die here,
-  // up front.
-  static_assert(kFormatVersion == 3,
+  // not from corruption detection. Guards the v3 -> v4 layout change
+  // (predictor state without a pending-write queue or row-read counter): a
+  // v3 payload misread under the v4 layout would be garbage, so stale
+  // files must die here, up front.
+  static_assert(kFormatVersion == 4,
                 "update this test's synthesized versions alongside the bump");
-  for (const std::uint32_t stale : {1u, 2u}) {
+  for (const std::uint32_t stale : {1u, 2u, 3u}) {
     const std::string p = path("stale.st2");
     write_snapshot(p, /*config_hash=*/0xfeedu, "old-era payload bytes");
     std::string file = read_file(p);
@@ -209,7 +209,7 @@ TEST_F(SnapshotFileTest, PreviousFormatVersionIsRejectedByTheVersionCheck) {
       EXPECT_NE(what.find("version " + std::to_string(stale)),
                 std::string::npos)
           << what;
-      EXPECT_NE(what.find("expected 3"), std::string::npos) << what;
+      EXPECT_NE(what.find("expected 4"), std::string::npos) << what;
     }
   }
 }
