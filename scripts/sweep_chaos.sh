@@ -47,11 +47,6 @@ cat > spec_sharded.json <<'EOF'
   {"bench": "ablation_st2", "shards": 2}]}
 EOF
 
-# Worker process names as the kernel's 15-char comm (pkill -x matches comm,
-# so the longer bench names must be pre-truncated). Never pkill -f here: the
-# bench-dir path sits on this script's own command line.
-COMMS='fig5_dse|config_sensitiv|fault_sensitivi|ablation_st2'
-
 # All three sweeps share one content-addressed trace cache, like a real
 # sweep fleet would — the multi-process hammer in test_trace_cache.cpp is
 # the unit-level proof this sharing is safe.
@@ -79,14 +74,17 @@ while [ $rounds -lt 4 ] && kill -0 "$sup" 2>/dev/null; do
     # Workers run in their own process groups (setpgid in the supervisor),
     # so a group kill takes the whole shard attempt down at once.
     victim=$(pgrep -P "$sup" | head -n 1)
-    [ -n "$victim" ] && kill -KILL -- "-$victim" 2>/dev/null
+    [ -n "$victim" ] && kill -KILL "-$victim" 2>/dev/null
     rounds=$((rounds + 1))
 done
-# Now the supervisor itself, possibly mid-journal-append.
+# Now the supervisor itself, possibly mid-journal-append. Stopping it first
+# freezes its worker list: the workers it leaves behind are killed by process
+# group, never by name — a name match would also kill the same benches run
+# by anything else on the machine (e.g. a concurrently running test).
+kill -STOP "$sup" 2>/dev/null
+for w in $(pgrep -P "$sup"); do kill -KILL "-$w" 2>/dev/null; done
 kill -KILL "$sup" 2>/dev/null
 wait "$sup" 2>/dev/null
-# Reap any orphaned workers the dead supervisor left behind.
-pkill -KILL -x "$COMMS" 2>/dev/null
 sleep 0.3
 
 [ -s chaos/journal.st2j ] || fail "chaos run left no journal to resume from"

@@ -63,12 +63,10 @@ CaseResult run_case(const Machine& m, workloads::PreparedCase& pc,
     sim::RunReport r;
     {
       PhaseTimer pt(hooks.replay_s);
-      if (hooks.checkpoint) {
-        const sim::ReplayCheckpoint ck = hooks.checkpoint(li, res);
-        r = eng.replay(pc.kernel, cap, &ck);
-      } else {
-        r = eng.replay(pc.kernel, cap);
-      }
+      const sim::ReplayCheckpoint ck = hooks.checkpoint
+                                           ? hooks.checkpoint(li, res)
+                                           : sim::ReplayCheckpoint{};
+      r = eng.replay(pc.kernel, cap, &ck);
     }
     if (hooks.on_report) hooks.on_report(li, r);
     res.counters += r.chip;

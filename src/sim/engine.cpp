@@ -10,6 +10,7 @@
 
 #include "src/common/contracts.hpp"
 #include "src/sim/functional.hpp"
+#include "src/sim/jobs.hpp"
 #include "src/sim/trace_run.hpp"
 #include "src/snapshot/serial.hpp"
 #include "src/spec/predictor.hpp"
@@ -120,124 +121,6 @@ GridCapture capture_grid(const GpuConfig& cfg, const isa::Kernel& kernel,
 ExecutionEngine::ExecutionEngine(const GpuConfig& cfg, EngineOptions opts)
     : cfg_(cfg), opts_(opts) {}
 
-int ExecutionEngine::resolved_jobs() const {
-  if (opts_.jobs > 0) return opts_.jobs;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
-RunReport ExecutionEngine::replay(const isa::Kernel& kernel,
-                                  const GridCapture& capture) {
-  ST2_EXPECTS(capture.per_sm.size() ==
-              static_cast<std::size_t>(cfg_.num_sms));
-
-  // SMs with work, in ascending index order. Validate admissibility up
-  // front, on this thread: a block that can never fit (too many warps, too
-  // much shared memory) would otherwise leave its SmCore spinning forever,
-  // and a throw from a worker thread would terminate the process.
-  std::vector<int> work_sms;
-  for (int sm = 0; sm < cfg_.num_sms; ++sm) {
-    const SmWorkload& work = capture.per_sm[static_cast<std::size_t>(sm)];
-    if (!work.blocks.empty()) {
-      validate_admissible(cfg_, kernel, work);
-      work_sms.push_back(sm);
-    }
-  }
-
-  std::vector<SmReport> reports(work_sms.size());
-  const int jobs =
-      std::max(1, std::min<int>(resolved_jobs(),
-                                static_cast<int>(work_sms.size())));
-
-  // Watchdog / cancellation state shared by the workers. The cycle budget is
-  // applied per SM (each stops at min(own finish, budget) — deterministic
-  // across any thread schedule); the wall deadline and the external cancel
-  // flag propagate through `stop` so already-running and still-queued SMs
-  // wind down within one check quantum.
-  const std::uint64_t budget = opts_.watchdog_cycles;
-  const bool timed = opts_.watchdog_ms > 0;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(timed ? opts_.watchdog_ms : 0);
-  const std::atomic<bool>* const cancel = opts_.cancel;
-  const bool async_checks = timed || cancel != nullptr;
-  std::atomic<const char*> stop{nullptr};  // set once: the first async cause
-  constexpr std::uint64_t kQuantumMask = 0x1fff;  // async checks every 8192
-
-  // Each worker claims SM indices from a shared atomic cursor and writes
-  // only its own report slot; determinism needs no further coordination
-  // because every SmCore is a pure function of (config, kernel, workload).
-  // A throw inside a worker (e.g. an invariant violation at seal) is
-  // captured and rethrown on this thread — never std::terminate.
-  std::vector<std::exception_ptr> errors(work_sms.size());
-  auto replay_sm = [&](std::size_t i) {
-    const int sm = work_sms[i];
-    SmCore core(cfg_, kernel, capture.per_sm[static_cast<std::size_t>(sm)]);
-    reports[i].sm = sm;
-    const char* reason = stop.load(std::memory_order_relaxed);
-    std::uint64_t steps = 0;
-    while (reason == nullptr && core.step_cycle()) {
-      if (budget != 0 && core.now() >= budget) {
-        reason = "watchdog-cycles";
-        break;
-      }
-      if (async_checks && (++steps & kQuantumMask) == 0) {
-        if (cancel && cancel->load(std::memory_order_relaxed)) {
-          reason = "interrupted";
-        } else if (timed && std::chrono::steady_clock::now() >= deadline) {
-          reason = "watchdog-deadline";
-        }
-        if (reason != nullptr) {
-          const char* expected = nullptr;
-          stop.compare_exchange_strong(expected, reason,
-                                       std::memory_order_relaxed);
-        }
-      }
-    }
-    core.seal();  // partial or final; runs the always-on invariants
-    reports[i].counters = core.counters();
-    reports[i].timeline = core.timeline();
-    if (reason != nullptr && !core.finished()) {
-      reports[i].aborted = true;
-      reports[i].abort_reason = reason;
-    }
-  };
-  auto guarded_replay = [&](std::size_t i) {
-    try {
-      replay_sm(i);
-    } catch (...) {
-      errors[i] = std::current_exception();
-      reports[i].sm = work_sms[i];
-    }
-  };
-
-  if (jobs <= 1) {
-    for (std::size_t i = 0; i < work_sms.size(); ++i) guarded_replay(i);
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(jobs));
-    for (int t = 0; t < jobs; ++t) {
-      pool.emplace_back([&] {
-        for (;;) {
-          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= work_sms.size()) return;
-          guarded_replay(i);
-        }
-      });
-    }
-    for (auto& th : pool) th.join();
-  }
-
-  // Rethrow the first captured error in SM order (deterministic choice).
-  for (std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-
-  return RunReport::reduce(std::move(reports), cfg_.num_sms, jobs,
-                           cfg_.timeline_bucket);
-}
-
 namespace {
 
 /// FNV-1a fingerprint of an SM workload's *structure* (block ids, warp
@@ -273,12 +156,15 @@ std::uint64_t workload_structure_hash(const SmWorkload& work) {
 RunReport ExecutionEngine::replay(const isa::Kernel& kernel,
                                   const GridCapture& capture,
                                   const ReplayCheckpoint* ck) {
-  if (ck == nullptr || (ck->every == 0 && !ck->sink && !ck->resume)) {
-    return replay(kernel, capture);
-  }
+  const ReplayCheckpoint none;
+  if (ck == nullptr) ck = &none;
   ST2_EXPECTS(capture.per_sm.size() ==
               static_cast<std::size_t>(cfg_.num_sms));
 
+  // SMs with work, in ascending index order. Validate admissibility up
+  // front, on this thread: a block that can never fit (too many warps, too
+  // much shared memory) would otherwise leave its SmCore spinning forever,
+  // and a throw from a worker thread would terminate the process.
   std::vector<int> work_sms;
   for (int sm = 0; sm < cfg_.num_sms; ++sm) {
     const SmWorkload& work = capture.per_sm[static_cast<std::size_t>(sm)];
@@ -287,13 +173,17 @@ RunReport ExecutionEngine::replay(const isa::Kernel& kernel,
       work_sms.push_back(sm);
     }
   }
-  const int jobs =
-      std::max(1, std::min<int>(resolved_jobs(),
-                                static_cast<int>(work_sms.size())));
+  const int jobs = std::max(
+      1, std::min<int>(opts_.jobs > 0 ? opts_.jobs : hardware_threads(),
+                       static_cast<int>(work_sms.size())));
+  const auto work_of = [&](std::size_t i) -> const SmWorkload& {
+    return capture.per_sm[static_cast<std::size_t>(work_sms[i])];
+  };
 
-  // Unlike the plain path, cores live across epochs, so they are owned here
-  // and constructed up front (serially — construction order must not depend
-  // on thread schedule when resuming).
+  // Cores outlive an epoch, so they are owned here. A core is built on its
+  // first advance and, once done, sealed and freed at once unless a sink may
+  // still snapshot it: a single-epoch replay without a sink keeps at most one
+  // core per worker alive.
   struct CoreRun {
     std::unique_ptr<SmCore> core;
     std::uint64_t steps = 0;       ///< async-check cadence counter
@@ -301,14 +191,26 @@ RunReport ExecutionEngine::replay(const isa::Kernel& kernel,
     bool done = false;             ///< finished or aborted; stop stepping
   };
   std::vector<CoreRun> runs(work_sms.size());
-  std::vector<std::uint64_t> structure(work_sms.size());
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const SmWorkload& work =
-        capture.per_sm[static_cast<std::size_t>(work_sms[i])];
-    runs[i].core = std::make_unique<SmCore>(cfg_, kernel, work);
-    structure[i] = workload_structure_hash(work);
-  }
+  std::vector<SmReport> reports(runs.size());
+  const bool keep_cores = static_cast<bool>(ck->sink);
+  auto build = [&](std::size_t i) {
+    runs[i].core = std::make_unique<SmCore>(cfg_, kernel, work_of(i));
+  };
+  auto seal = [&](std::size_t i) {
+    CoreRun& cr = runs[i];
+    cr.core->seal();  // partial or final; runs the always-on invariants
+    reports[i].sm = work_sms[i];
+    reports[i].counters = cr.core->counters();
+    reports[i].timeline = cr.core->timeline();
+    if (cr.reason != nullptr && !cr.core->finished()) {
+      reports[i].aborted = true;
+      reports[i].abort_reason = cr.reason;
+    }
+    cr.core.reset();
+  };
 
+  // Resuming builds every core up front, serially — construction order must
+  // not depend on thread schedule.
   if (ck->resume != nullptr) {
     snapshot::Reader r(*ck->resume, "engine state");
     const std::uint32_t n = r.u32();
@@ -317,15 +219,21 @@ RunReport ExecutionEngine::replay(const isa::Kernel& kernel,
     for (std::size_t i = 0; i < runs.size(); ++i) {
       r.require(r.u32() == static_cast<std::uint32_t>(work_sms[i]),
                 "SM index differs from the current launch");
-      r.require(r.u64() == structure[i],
+      r.require(r.u64() == workload_structure_hash(work_of(i)),
                 "workload structure differs from the snapshotted capture");
       runs[i].steps = r.u64();
+      build(i);
       runs[i].core->restore_state(r);
       runs[i].done = runs[i].core->finished();
     }
     r.require(r.done(), "trailing bytes after the engine state");
   }
 
+  // Watchdog / cancellation state shared by the workers. The cycle budget is
+  // applied per SM (each stops at min(own finish, budget) — deterministic
+  // across any thread schedule); the wall deadline and the external cancel
+  // flag propagate through `stop` so already-running and still-queued SMs
+  // wind down within one check quantum.
   const std::uint64_t budget = opts_.watchdog_cycles;
   const bool timed = opts_.watchdog_ms > 0;
   const auto deadline =
@@ -333,16 +241,16 @@ RunReport ExecutionEngine::replay(const isa::Kernel& kernel,
       std::chrono::milliseconds(timed ? opts_.watchdog_ms : 0);
   const std::atomic<bool>* const cancel = opts_.cancel;
   const bool async_checks = timed || cancel != nullptr;
-  std::atomic<const char*> stop{nullptr};
-  constexpr std::uint64_t kQuantumMask = 0x1fff;
+  std::atomic<const char*> stop{nullptr};  // set once: the first async cause
+  constexpr std::uint64_t kQuantumMask = 0x1fff;  // async checks every 8192
 
   // Advances one SM until the epoch boundary, its own finish, or an abort
-  // cause. The budget check runs *before* each step, so a core stops at the
-  // first state with now() >= budget — the same state the plain path's
-  // post-step check stops at — and a resumed core already past the budget
-  // never steps again.
+  // cause. The budget is checked before each step, so a core stops at the
+  // first state with now() >= budget whatever the epoch boundaries, and a
+  // resumed core already past the budget never steps again.
   auto advance_to = [&](std::size_t i, std::uint64_t boundary) {
     CoreRun& cr = runs[i];
+    if (!cr.core) build(i);
     SmCore& core = *cr.core;
     const char* reason = stop.load(std::memory_order_relaxed);
     while (reason == nullptr && core.now() < boundary) {
@@ -352,7 +260,7 @@ RunReport ExecutionEngine::replay(const isa::Kernel& kernel,
       }
       if (!core.step_cycle()) {
         cr.done = true;
-        return;
+        break;
       }
       if (async_checks && (++cr.steps & kQuantumMask) == 0) {
         if (cancel && cancel->load(std::memory_order_relaxed)) {
@@ -371,10 +279,20 @@ RunReport ExecutionEngine::replay(const isa::Kernel& kernel,
       cr.reason = reason;
       cr.done = true;
     }
+    if (cr.done && !keep_cores) seal(i);
   };
 
+  // Each worker claims live SMs from a shared atomic cursor and touches only
+  // its own CoreRun, report and error slot; determinism needs no further
+  // coordination because every SmCore is a pure function of (config,
+  // kernel, workload). A throw inside a worker (e.g. an invariant violation
+  // at seal) is captured and rethrown on this thread — never std::terminate.
   std::vector<std::exception_ptr> errors(runs.size());
-  bool failed = false;
+  const auto failed = [&] {
+    return std::any_of(
+        errors.begin(), errors.end(),
+        [](const std::exception_ptr& e) { return e != nullptr; });
+  };
   auto run_epoch = [&](std::uint64_t boundary) {
     std::vector<std::size_t> live;
     for (std::size_t i = 0; i < runs.size(); ++i) {
@@ -386,7 +304,6 @@ RunReport ExecutionEngine::replay(const isa::Kernel& kernel,
       } catch (...) {
         errors[i] = std::current_exception();
         runs[i].done = true;
-        failed = true;
       }
     };
     const int epoch_jobs = std::min<int>(jobs, static_cast<int>(live.size()));
@@ -412,14 +329,14 @@ RunReport ExecutionEngine::replay(const isa::Kernel& kernel,
 
   // Serializes the full engine state in ascending SM order; the always-on
   // SmCore invariants are validated first so a corrupt state can never be
-  // checkpointed.
+  // checkpointed. Only called with a sink, so every core is still live.
   auto serialize_state = [&]() {
     snapshot::Writer w;
     w.u32(static_cast<std::uint32_t>(runs.size()));
     for (std::size_t i = 0; i < runs.size(); ++i) {
       runs[i].core->validate_invariants();
       w.u32(static_cast<std::uint32_t>(work_sms[i]));
-      w.u64(structure[i]);
+      w.u64(workload_structure_hash(work_of(i)));
       w.u64(runs[i].steps);
       runs[i].core->save_state(w);
     }
@@ -433,15 +350,14 @@ RunReport ExecutionEngine::replay(const isa::Kernel& kernel,
   for (;;) {
     std::uint64_t min_now = ~std::uint64_t{0};
     for (const CoreRun& cr : runs) {
-      if (!cr.done) min_now = std::min(min_now, cr.core->now());
+      if (!cr.done) min_now = std::min(min_now, cr.core ? cr.core->now() : 0);
     }
     if (min_now == ~std::uint64_t{0}) break;  // all finished or aborted
-    if (stop.load(std::memory_order_relaxed) != nullptr || failed) break;
     const std::uint64_t boundary =
         ck->every > 0 ? (min_now / ck->every + 1) * ck->every
                       : ~std::uint64_t{0};
     run_epoch(boundary);
-    if (failed || stop.load(std::memory_order_relaxed) != nullptr) break;
+    if (failed() || stop.load(std::memory_order_relaxed) != nullptr) break;
     bool all_done = true;
     for (const CoreRun& cr : runs) all_done = all_done && cr.done;
     if (ck->every > 0 && ck->sink && !all_done) {
@@ -458,29 +374,20 @@ RunReport ExecutionEngine::replay(const isa::Kernel& kernel,
   // Abort-time snapshot: the run was cut short (watchdog budget/deadline or
   // external cancel) but every core sits at a valid cycle boundary, so the
   // partial state is saved and the caller can mark the run resumable.
-  bool any_aborted = false;
-  std::uint64_t abort_cycle = ~std::uint64_t{0};
-  for (const CoreRun& cr : runs) {
-    if (cr.reason != nullptr && !cr.core->finished()) {
-      any_aborted = true;
-      abort_cycle = std::min(abort_cycle, cr.core->now());
+  if (ck->sink) {
+    bool any_aborted = false;
+    std::uint64_t abort_cycle = ~std::uint64_t{0};
+    for (const CoreRun& cr : runs) {
+      if (cr.reason != nullptr && !cr.core->finished()) {
+        any_aborted = true;
+        abort_cycle = std::min(abort_cycle, cr.core->now());
+      }
     }
-  }
-  if (any_aborted && ck->sink) {
-    ck->sink(serialize_state(), abort_cycle, true);
+    if (any_aborted) ck->sink(serialize_state(), abort_cycle, true);
   }
 
-  std::vector<SmReport> reports(runs.size());
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    SmCore& core = *runs[i].core;
-    core.seal();  // partial or final; runs the always-on invariants
-    reports[i].sm = work_sms[i];
-    reports[i].counters = core.counters();
-    reports[i].timeline = core.timeline();
-    if (runs[i].reason != nullptr && !core.finished()) {
-      reports[i].aborted = true;
-      reports[i].abort_reason = runs[i].reason;
-    }
+    if (runs[i].core) seal(i);
   }
   return RunReport::reduce(std::move(reports), cfg_.num_sms, jobs,
                            cfg_.timeline_bucket);

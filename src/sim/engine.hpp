@@ -136,20 +136,22 @@ class ExecutionEngine {
                       GlobalMemory& gmem);
 
   /// Replays an existing capture (capture once, replay many — e.g. the same
-  /// value stream under different machine configs).
-  RunReport replay(const isa::Kernel& kernel, const GridCapture& capture);
-
-  /// Replay with checkpoint/resume hooks. `ck == nullptr` (or an empty
-  /// ReplayCheckpoint) behaves exactly like the plain overload; otherwise
-  /// the epoch-barrier loop described at ReplayCheckpoint runs. Completed
-  /// runs produce counters bit-identical to the plain overload for any
-  /// cadence and any resume point.
+  /// value stream under different machine configs) through the epoch-barrier
+  /// loop described at ReplayCheckpoint. A null `ck` (or an empty
+  /// ReplayCheckpoint) runs one epoch to completion or abort, with no sink
+  /// and no resume. Completed runs produce counters bit-identical for any
+  /// cadence, any resume point and any `jobs`.
+  ///
+  /// Core lifetime: each SM's SmCore is built on its first advance (on
+  /// resume, every core is built up front, serially, to restore it) and,
+  /// unless `ck->sink` is set, sealed and freed as soon as it finishes or
+  /// aborts — so a replay with neither sink nor cadence holds at most one
+  /// live core per worker. With a sink every core lives to the end, since the
+  /// sink may snapshot it.
   RunReport replay(const isa::Kernel& kernel, const GridCapture& capture,
-                   const ReplayCheckpoint* ck);
+                   const ReplayCheckpoint* ck = nullptr);
 
   const GpuConfig& config() const { return cfg_; }
-  /// Worker threads the replay phase will use.
-  int resolved_jobs() const;
 
  private:
   GpuConfig cfg_;
