@@ -2,7 +2,9 @@
 
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <type_traits>
 
 #include "src/common/bitutils.hpp"
 #include "src/common/contracts.hpp"
@@ -39,6 +41,33 @@ std::int64_t safe_rem(std::int64_t a, std::int64_t b) {
   return a % b;
 }
 
+// fmin / fmax as glibc computes them, with the operand order fixed: equal
+// operands (+0 and -0) give the first. C leaves the sign of fmin(+0, -0)
+// unspecified and GCC treats std::fmin as commutative, so through std::fmin
+// that sign depended on the operand order the compiler chose for a loop.
+template <typename F>
+bool is_signaling(F v) {
+  using Bits = std::conditional_t<sizeof(F) == 4, std::uint32_t, std::uint64_t>;
+  constexpr Bits kQuiet = Bits{1} << (std::numeric_limits<F>::digits - 2);
+  return std::isnan(v) && (std::bit_cast<Bits>(v) & kQuiet) == 0;
+}
+
+template <typename F>
+F min_of(F x, F y) {
+  if (std::islessequal(x, y)) return x;
+  if (std::isgreater(x, y)) return y;
+  if (is_signaling(x) || is_signaling(y)) return x + y;
+  return std::isnan(y) ? x : y;
+}
+
+template <typename F>
+F max_of(F x, F y) {
+  if (std::isgreaterequal(x, y)) return x;
+  if (std::isless(x, y)) return y;
+  if (is_signaling(x) || is_signaling(y)) return x + y;
+  return std::isnan(y) ? x : y;
+}
+
 std::int64_t f2i(float v) {
   if (std::isnan(v)) return 0;
   if (v >= 9.2e18f) return std::numeric_limits<std::int64_t>::max();
@@ -70,9 +99,9 @@ FunctionalCore::FunctionalCore(const isa::Kernel& kernel,
   if (smem_.size() < static_cast<std::size_t>(kernel.shared_bytes)) {
     smem_.resize(static_cast<std::size_t>(kernel.shared_bytes), 0);
   }
-  decode_.reserve(kernel.code.size());
+  units_.reserve(kernel.code.size());
   for (const Instruction& in : kernel.code) {
-    decode_.push_back(DecodedOp{isa::unit_class(in.op), isa::uses_adder(in.op)});
+    units_.push_back(isa::unit_class(in.op));
   }
 }
 
@@ -114,7 +143,6 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
   const std::uint32_t pc = w.stack().pc();
   ST2_ASSERT(pc < kernel_.code.size());
   const Instruction& in = kernel_.code[pc];
-  const DecodedOp dec = decode_[pc];
   const std::uint32_t mask = w.stack().mask();
 
   // Reset the scalar fields only: the per-lane arrays are "valid where
@@ -126,7 +154,7 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
   rec.block_flat = w.block_flat();
   rec.warp_in_block = w.warp_in_block();
   rec.active_mask = mask;
-  rec.unit = dec.unit;
+  rec.unit = units_[pc];
   rec.has_adder_op = false;
   rec.is_mem = false;
   rec.is_store = false;
@@ -134,150 +162,214 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
   rec.mem_size = 0;
   rec.writes_reg = false;
 
-  const bool adder = dec.uses_adder;
-
-  // Visits active lanes in ascending order by peeling set bits — no work and
-  // no branch misprediction for inactive lanes (divergent masks are common).
-  auto for_lanes = [&](auto&& fn) {
-    for (std::uint32_t m = mask; m != 0; m &= m - 1) {
-      fn(std::countr_zero(m));
+  // Visits active lanes in ascending order: a plain 0..31 loop when the
+  // whole warp is active (about 94% of warp instructions), else by peeling
+  // set bits — no work and no branch misprediction for inactive lanes.
+  // Flattened: `fn` and all it calls inline into the loop, which GCC's
+  // size heuristics otherwise decline inside this large function, leaving a
+  // call per lane.
+  auto for_lanes = [&](auto&& fn) __attribute__((flatten)) {
+    if (mask == kFullWarpMask) {
+      for (int lane = 0; lane < kWarpSize; ++lane) fn(lane);
+    } else {
+      for (std::uint32_t m = mask; m != 0; m &= m - 1) {
+        fn(std::countr_zero(m));
+      }
     }
   };
 
+  // Everything a lane loop reads besides the lanes' own registers lives in
+  // locals: a byte store (a lane plane, a 1-byte access) may alias any
+  // object, so reading these through `w`, `in` or `rec` would reload them on
+  // every lane. Lane l's register r is regs[l * stride + r].
+  std::uint64_t* const regs = w.reg_file();
+  const auto stride = static_cast<std::size_t>(w.regs_used());
+  const std::size_t src1 = in.src1, src2 = in.src2, src3 = in.src3;
+  const std::size_t dst = in.dst;
+  const auto imm = static_cast<std::uint64_t>(in.imm);
+  const bool msext = in.msext;
+  const bool record_results = rec.record_results;
+
+  auto reg = [&](int lane, std::size_t r) {
+    return regs[static_cast<std::size_t>(lane) * stride + r];
+  };
+  // Each case that writes a register also sets rec.writes_reg, once.
   auto write_result = [&](int lane, std::uint64_t v) {
-    w.set_reg(lane, in.dst, v);
-    rec.writes_reg = true;
-    if (rec.record_results) {
-      rec.result[static_cast<std::size_t>(lane)] = v;
-    }
+    regs[static_cast<std::size_t>(lane) * stride + dst] = v;
+    if (record_results) rec.result[static_cast<std::size_t>(lane)] = v;
   };
 
-  auto record_adder = [&](int lane, std::uint64_t s1, std::uint64_t s2,
-                          std::uint64_t s3) {
-    if (!adder) return;
-    const auto mop = adder_micro_op(in.op, s1, s2, s3);
-    if (mop.has_value()) {
+  // Memory instructions resolve their access width once: `fn` runs with a
+  // value of the unsigned type of in.msize bytes, and `widen` zero- or
+  // (msext) sign-extends a loaded T to a register.
+  auto with_width = [&](auto&& fn) {
+    switch (in.msize) {
+      case 1: fn(std::uint8_t{}); break;
+      case 4: fn(std::uint32_t{}); break;
+      case 8: fn(std::uint64_t{}); break;
+      default: ST2_ASSERT(false && "memory access width must be 1, 4 or 8");
+    }
+  };
+  auto widen = [&](auto v) -> std::uint64_t {
+    using T = decltype(v);
+    if constexpr (sizeof(T) < sizeof(std::uint64_t)) {
+      if (msext) {
+        return static_cast<std::uint64_t>(sign_extend(v, 8 * sizeof(T)));
+      }
+    }
+    return v;
+  };
+
+  // One lane loop per opcode. The opcode arrives as a type, so the switch
+  // below resolves it once per instruction, and `op(lane, s1, s2, s3)`
+  // returns the lane's result: a register value, or a predicate bit that
+  // lands in the destination predicate once per warp. An adder opcode also
+  // stores each lane's micro-op and spec::lane_record; its slice count, and
+  // with it the relevant mask and (for integers) the carry-in, is a
+  // constant of the opcode.
+  auto lane_loop = [&](auto opcode, auto&& op) {
+    constexpr Opcode kOp = decltype(opcode)::value;
+    constexpr int kSlices = adder_slices(kOp);
+    using Result = decltype(op(0, std::uint64_t{}, std::uint64_t{},
+                               std::uint64_t{}));
+    if constexpr (kSlices != 0) {
       rec.has_adder_op = true;
-      rec.adder[static_cast<std::size_t>(lane)] = *mop;
-      rec.lanes.set(lane, spec::lane_record(mop->a, mop->b, mop->cin,
-                                            mop->num_slices));
+      rec.lanes.relevant.fill(spec::relevant_mask(kSlices));
+    }
+    std::uint32_t bits = 0;
+    for_lanes([&](int lane) {
+      const auto l = static_cast<std::size_t>(lane);
+      std::uint64_t* const lane_regs = regs + l * stride;
+      const std::uint64_t s1 = lane_regs[src1];
+      const std::uint64_t s2 = lane_regs[src2];
+      const std::uint64_t s3 = lane_regs[src3];
+      if constexpr (kSlices != 0) {
+        const AdderMicroOp m = adder_operands<kOp>(s1, s2, s3);
+        AdderMicroOp& out = rec.adder[l];
+        out.a = m.a;
+        out.b = m.b;
+        out.cin = m.cin;
+        out.num_slices = kSlices;
+        const spec::LaneRecord r = spec::lane_record(m.a, m.b, m.cin, kSlices);
+        rec.lanes.peek_mask[l] = r.peek_mask;
+        rec.lanes.peek_carries[l] = r.peek_carries;
+        rec.lanes.actual[l] = r.actual;
+      }
+      const Result v = op(lane, s1, s2, s3);
+      if constexpr (std::is_same_v<Result, bool>) {
+        bits |= std::uint32_t{v} << lane;
+      } else {
+        lane_regs[dst] = v;
+        if (record_results) rec.result[l] = v;
+      }
+    });
+    if constexpr (std::is_same_v<Result, bool>) {
+      w.set_pred_bits(static_cast<int>(dst), mask, bits);
+    } else {
+      rec.writes_reg = true;
     }
   };
 
-  // Generic 3-source integer/float execute. The opcode is warp-invariant, so
-  // dispatch on it ONCE and run a tight per-lane loop inside each case: the
-  // old shape (a per-lane switch) paid an indirect branch per active lane and
-  // dominated the interpreter's profile. ST2_LANE_OP expands to the lane loop
-  // body shared by every case — source reads, adder capture, then the op.
-  // Inside a case the opcode is a compile-time constant, so the inline
-  // adder_micro_op switch folds away too.
-#define ST2_LANE_OP(...)                             \
-  for_lanes([&](int lane) {                          \
-    const std::uint64_t s1 = w.reg(lane, in.src1);   \
-    const std::uint64_t s2 = w.reg(lane, in.src2);   \
-    const std::uint64_t s3 = w.reg(lane, in.src3);   \
-    record_adder(lane, s1, s2, s3);                  \
-    __VA_ARGS__;                                     \
-  })
+  // ST2_LANE_OP(kOp, expr) is the case of opcode kOp: `expr` is the result
+  // of one lane, with `lane` and the sources s1, s2, s3 in scope.
+#define ST2_LANE_OP(OP, ...)                                              \
+  case Opcode::OP:                                                        \
+    lane_loop(std::integral_constant<Opcode, Opcode::OP>{},               \
+              [&]([[maybe_unused]] int lane,                              \
+                  [[maybe_unused]] std::uint64_t s1,                      \
+                  [[maybe_unused]] std::uint64_t s2,                      \
+                  [[maybe_unused]] std::uint64_t s3) {                    \
+                return __VA_ARGS__;                                       \
+              });                                                         \
+    break;
 
   auto exec_generic = [&] {
     switch (in.op) {
-      // Integer add/sub/mul/mad/neg wrap modulo 2^64 like the modeled
+      // Integer add/sub/mul/mad/abs/neg wrap modulo 2^64 like the modeled
       // hardware, so they are computed in unsigned arithmetic (same bits as
       // two's-complement, without the signed-overflow UB that workloads with
       // LCG-style constants actually hit).
-      case Opcode::kIAdd: ST2_LANE_OP(write_result(lane, s1 + s2)); break;
-      case Opcode::kISub: ST2_LANE_OP(write_result(lane, s1 - s2)); break;
-      case Opcode::kIMul: ST2_LANE_OP(write_result(lane, s1 * s2)); break;
-      case Opcode::kIMulHi:
-        ST2_LANE_OP({
-          const __int128 p = static_cast<__int128>(s64(s1)) * s64(s2);
-          write_result(lane, from_s64(static_cast<std::int64_t>(p >> 64)));
-        });
-        break;
-      case Opcode::kIDiv: ST2_LANE_OP(write_result(lane, from_s64(safe_div(s64(s1), s64(s2))))); break;
-      case Opcode::kIRem: ST2_LANE_OP(write_result(lane, from_s64(safe_rem(s64(s1), s64(s2))))); break;
-      case Opcode::kIMad: ST2_LANE_OP(write_result(lane, s1 * s2 + s3)); break;
-      case Opcode::kIMin: ST2_LANE_OP(write_result(lane, from_s64(std::min(s64(s1), s64(s2))))); break;
-      case Opcode::kIMax: ST2_LANE_OP(write_result(lane, from_s64(std::max(s64(s1), s64(s2))))); break;
-      case Opcode::kIAbs: ST2_LANE_OP(write_result(lane, from_s64(std::abs(s64(s1))))); break;
-      case Opcode::kINeg: ST2_LANE_OP(write_result(lane, 0 - s1)); break;
-      case Opcode::kIAnd: ST2_LANE_OP(write_result(lane, s1 & s2)); break;
-      case Opcode::kIOr: ST2_LANE_OP(write_result(lane, s1 | s2)); break;
-      case Opcode::kIXor: ST2_LANE_OP(write_result(lane, s1 ^ s2)); break;
-      case Opcode::kINot: ST2_LANE_OP(write_result(lane, ~s1)); break;
-      case Opcode::kIShl: ST2_LANE_OP(write_result(lane, s1 << (s2 & 63))); break;
-      case Opcode::kIShrL: ST2_LANE_OP(write_result(lane, s1 >> (s2 & 63))); break;
-      case Opcode::kIShrA: ST2_LANE_OP(write_result(lane, from_s64(s64(s1) >> (s2 & 63)))); break;
+      ST2_LANE_OP(kIAdd, s1 + s2)
+      ST2_LANE_OP(kISub, s1 - s2)
+      ST2_LANE_OP(kIMul, s1 * s2)
+      ST2_LANE_OP(kIMulHi, from_s64(static_cast<std::int64_t>(
+                               (static_cast<__int128>(s64(s1)) * s64(s2)) >> 64)))
+      ST2_LANE_OP(kIDiv, from_s64(safe_div(s64(s1), s64(s2))))
+      ST2_LANE_OP(kIRem, from_s64(safe_rem(s64(s1), s64(s2))))
+      ST2_LANE_OP(kIMad, s1 * s2 + s3)
+      ST2_LANE_OP(kIMin, from_s64(std::min(s64(s1), s64(s2))))
+      ST2_LANE_OP(kIMax, from_s64(std::max(s64(s1), s64(s2))))
+      ST2_LANE_OP(kIAbs, s64(s1) < 0 ? 0 - s1 : s1)
+      ST2_LANE_OP(kINeg, 0 - s1)
+      ST2_LANE_OP(kIAnd, s1 & s2)
+      ST2_LANE_OP(kIOr, s1 | s2)
+      ST2_LANE_OP(kIXor, s1 ^ s2)
+      ST2_LANE_OP(kINot, ~s1)
+      ST2_LANE_OP(kIShl, s1 << (s2 & 63))
+      ST2_LANE_OP(kIShrL, s1 >> (s2 & 63))
+      ST2_LANE_OP(kIShrA, from_s64(s64(s1) >> (s2 & 63)))
 
-      case Opcode::kSetEq: ST2_LANE_OP(w.set_pred(lane, in.dst, s64(s1) == s64(s2))); break;
-      case Opcode::kSetNe: ST2_LANE_OP(w.set_pred(lane, in.dst, s64(s1) != s64(s2))); break;
-      case Opcode::kSetLt: ST2_LANE_OP(w.set_pred(lane, in.dst, s64(s1) < s64(s2))); break;
-      case Opcode::kSetLe: ST2_LANE_OP(w.set_pred(lane, in.dst, s64(s1) <= s64(s2))); break;
-      case Opcode::kSetGt: ST2_LANE_OP(w.set_pred(lane, in.dst, s64(s1) > s64(s2))); break;
-      case Opcode::kSetGe: ST2_LANE_OP(w.set_pred(lane, in.dst, s64(s1) >= s64(s2))); break;
+      ST2_LANE_OP(kSetEq, s64(s1) == s64(s2))
+      ST2_LANE_OP(kSetNe, s64(s1) != s64(s2))
+      ST2_LANE_OP(kSetLt, s64(s1) < s64(s2))
+      ST2_LANE_OP(kSetLe, s64(s1) <= s64(s2))
+      ST2_LANE_OP(kSetGt, s64(s1) > s64(s2))
+      ST2_LANE_OP(kSetGe, s64(s1) >= s64(s2))
 
+      // Predicate logic is word-wide: one bit per lane.
       case Opcode::kPAnd:
-        ST2_LANE_OP(w.set_pred(lane, in.dst,
-                               w.pred(lane, in.src1) && w.pred(lane, in.src2)));
+        w.set_pred_bits(static_cast<int>(dst), mask,
+                        w.pred_bits(in.src1) & w.pred_bits(in.src2));
         break;
       case Opcode::kPOr:
-        ST2_LANE_OP(w.set_pred(lane, in.dst,
-                               w.pred(lane, in.src1) || w.pred(lane, in.src2)));
+        w.set_pred_bits(static_cast<int>(dst), mask,
+                        w.pred_bits(in.src1) | w.pred_bits(in.src2));
         break;
       case Opcode::kPNot:
-        ST2_LANE_OP(w.set_pred(lane, in.dst, !w.pred(lane, in.src1)));
+        w.set_pred_bits(static_cast<int>(dst), mask, ~w.pred_bits(in.src1));
         break;
-      case Opcode::kSelp:
-        ST2_LANE_OP(write_result(lane, w.pred(lane, in.pred) ? s1 : s2));
-        break;
+      ST2_LANE_OP(kSelp, w.pred(lane, in.pred) ? s1 : s2)
 
-      case Opcode::kFAdd: ST2_LANE_OP(write_result(lane, from_f32(f32(s1) + f32(s2)))); break;
-      case Opcode::kFSub: ST2_LANE_OP(write_result(lane, from_f32(f32(s1) - f32(s2)))); break;
-      case Opcode::kFMul: ST2_LANE_OP(write_result(lane, from_f32(f32(s1) * f32(s2)))); break;
-      case Opcode::kFDiv: ST2_LANE_OP(write_result(lane, from_f32(f32(s1) / f32(s2)))); break;
-      case Opcode::kFFma:
-        ST2_LANE_OP(write_result(lane, from_f32(std::fma(f32(s1), f32(s2), f32(s3)))));
-        break;
-      case Opcode::kFMin: ST2_LANE_OP(write_result(lane, from_f32(std::fmin(f32(s1), f32(s2))))); break;
-      case Opcode::kFMax: ST2_LANE_OP(write_result(lane, from_f32(std::fmax(f32(s1), f32(s2))))); break;
-      case Opcode::kFAbs: ST2_LANE_OP(write_result(lane, from_f32(std::fabs(f32(s1))))); break;
-      case Opcode::kFNeg: ST2_LANE_OP(write_result(lane, from_f32(-f32(s1)))); break;
+      ST2_LANE_OP(kFAdd, from_f32(f32(s1) + f32(s2)))
+      ST2_LANE_OP(kFSub, from_f32(f32(s1) - f32(s2)))
+      ST2_LANE_OP(kFMul, from_f32(f32(s1) * f32(s2)))
+      ST2_LANE_OP(kFDiv, from_f32(f32(s1) / f32(s2)))
+      ST2_LANE_OP(kFFma, from_f32(std::fma(f32(s1), f32(s2), f32(s3))))
+      ST2_LANE_OP(kFMin, from_f32(min_of(f32(s1), f32(s2))))
+      ST2_LANE_OP(kFMax, from_f32(max_of(f32(s1), f32(s2))))
+      ST2_LANE_OP(kFAbs, from_f32(std::fabs(f32(s1))))
+      ST2_LANE_OP(kFNeg, from_f32(-f32(s1)))
 
-      case Opcode::kFSetLt: ST2_LANE_OP(w.set_pred(lane, in.dst, f32(s1) < f32(s2))); break;
-      case Opcode::kFSetLe: ST2_LANE_OP(w.set_pred(lane, in.dst, f32(s1) <= f32(s2))); break;
-      case Opcode::kFSetGt: ST2_LANE_OP(w.set_pred(lane, in.dst, f32(s1) > f32(s2))); break;
-      case Opcode::kFSetGe: ST2_LANE_OP(w.set_pred(lane, in.dst, f32(s1) >= f32(s2))); break;
-      case Opcode::kFSetEq: ST2_LANE_OP(w.set_pred(lane, in.dst, f32(s1) == f32(s2))); break;
-      case Opcode::kFSetNe: ST2_LANE_OP(w.set_pred(lane, in.dst, f32(s1) != f32(s2))); break;
+      ST2_LANE_OP(kFSetLt, f32(s1) < f32(s2))
+      ST2_LANE_OP(kFSetLe, f32(s1) <= f32(s2))
+      ST2_LANE_OP(kFSetGt, f32(s1) > f32(s2))
+      ST2_LANE_OP(kFSetGe, f32(s1) >= f32(s2))
+      ST2_LANE_OP(kFSetEq, f32(s1) == f32(s2))
+      ST2_LANE_OP(kFSetNe, f32(s1) != f32(s2))
 
-      case Opcode::kFSqrt: ST2_LANE_OP(write_result(lane, from_f32(std::sqrt(f32(s1))))); break;
-      case Opcode::kFRsqrt:
-        ST2_LANE_OP(write_result(lane, from_f32(1.0f / std::sqrt(f32(s1)))));
-        break;
-      case Opcode::kFRcp: ST2_LANE_OP(write_result(lane, from_f32(1.0f / f32(s1)))); break;
-      case Opcode::kFLog2: ST2_LANE_OP(write_result(lane, from_f32(std::log2(f32(s1))))); break;
-      case Opcode::kFExp2: ST2_LANE_OP(write_result(lane, from_f32(std::exp2(f32(s1))))); break;
-      case Opcode::kFSin: ST2_LANE_OP(write_result(lane, from_f32(std::sin(f32(s1))))); break;
-      case Opcode::kFCos: ST2_LANE_OP(write_result(lane, from_f32(std::cos(f32(s1))))); break;
+      ST2_LANE_OP(kFSqrt, from_f32(std::sqrt(f32(s1))))
+      ST2_LANE_OP(kFRsqrt, from_f32(1.0f / std::sqrt(f32(s1))))
+      ST2_LANE_OP(kFRcp, from_f32(1.0f / f32(s1)))
+      ST2_LANE_OP(kFLog2, from_f32(std::log2(f32(s1))))
+      ST2_LANE_OP(kFExp2, from_f32(std::exp2(f32(s1))))
+      ST2_LANE_OP(kFSin, from_f32(std::sin(f32(s1))))
+      ST2_LANE_OP(kFCos, from_f32(std::cos(f32(s1))))
 
-      case Opcode::kDAdd: ST2_LANE_OP(write_result(lane, from_f64(f64(s1) + f64(s2)))); break;
-      case Opcode::kDSub: ST2_LANE_OP(write_result(lane, from_f64(f64(s1) - f64(s2)))); break;
-      case Opcode::kDMul: ST2_LANE_OP(write_result(lane, from_f64(f64(s1) * f64(s2)))); break;
-      case Opcode::kDDiv: ST2_LANE_OP(write_result(lane, from_f64(f64(s1) / f64(s2)))); break;
-      case Opcode::kDFma:
-        ST2_LANE_OP(write_result(lane, from_f64(std::fma(f64(s1), f64(s2), f64(s3)))));
-        break;
-      case Opcode::kDMin: ST2_LANE_OP(write_result(lane, from_f64(std::fmin(f64(s1), f64(s2))))); break;
-      case Opcode::kDMax: ST2_LANE_OP(write_result(lane, from_f64(std::fmax(f64(s1), f64(s2))))); break;
+      ST2_LANE_OP(kDAdd, from_f64(f64(s1) + f64(s2)))
+      ST2_LANE_OP(kDSub, from_f64(f64(s1) - f64(s2)))
+      ST2_LANE_OP(kDMul, from_f64(f64(s1) * f64(s2)))
+      ST2_LANE_OP(kDDiv, from_f64(f64(s1) / f64(s2)))
+      ST2_LANE_OP(kDFma, from_f64(std::fma(f64(s1), f64(s2), f64(s3))))
+      ST2_LANE_OP(kDMin, from_f64(min_of(f64(s1), f64(s2))))
+      ST2_LANE_OP(kDMax, from_f64(max_of(f64(s1), f64(s2))))
 
-      case Opcode::kMov: ST2_LANE_OP(write_result(lane, s1)); break;
-      case Opcode::kI2F: ST2_LANE_OP(write_result(lane, from_f32(static_cast<float>(s64(s1))))); break;
-      case Opcode::kF2I: ST2_LANE_OP(write_result(lane, from_s64(f2i(f32(s1))))); break;
-      case Opcode::kI2D: ST2_LANE_OP(write_result(lane, from_f64(static_cast<double>(s64(s1))))); break;
-      case Opcode::kD2I: ST2_LANE_OP(write_result(lane, from_s64(d2i(f64(s1))))); break;
-      case Opcode::kF2D: ST2_LANE_OP(write_result(lane, from_f64(static_cast<double>(f32(s1))))); break;
-      case Opcode::kD2F: ST2_LANE_OP(write_result(lane, from_f32(static_cast<float>(f64(s1))))); break;
+      ST2_LANE_OP(kMov, s1)
+      ST2_LANE_OP(kI2F, from_f32(static_cast<float>(s64(s1))))
+      ST2_LANE_OP(kF2I, from_s64(f2i(f32(s1))))
+      ST2_LANE_OP(kI2D, from_f64(static_cast<double>(s64(s1))))
+      ST2_LANE_OP(kD2I, from_s64(d2i(f64(s1))))
+      ST2_LANE_OP(kF2D, from_f64(static_cast<double>(f32(s1))))
+      ST2_LANE_OP(kD2F, from_f32(static_cast<float>(f64(s1))))
 
       default:
         ST2_ASSERT(false && "unhandled opcode in exec_generic");
@@ -291,13 +383,15 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
       break;
 
     case Opcode::kMovImm:
+      rec.writes_reg = true;
       for_lanes([&](int lane) {
-        write_result(lane, static_cast<std::uint64_t>(in.imm));
+        write_result(lane, imm);
       });
       w.stack().advance();
       break;
 
     case Opcode::kLdParam:
+      rec.writes_reg = true;
       for_lanes([&](int lane) {
         write_result(lane,
                      launch_.args.at(static_cast<std::size_t>(in.imm)));
@@ -306,6 +400,7 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
       break;
 
     case Opcode::kMovSpecial:
+      rec.writes_reg = true;
       for_lanes([&](int lane) {
         const int lin = w.warp_in_block() * kWarpSize + lane;
         write_result(lane, special_value(in.special, w.block_flat(), lin));
@@ -318,23 +413,22 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
       const bool shared = in.op == Opcode::kLdShared;
       rec.is_mem = true;
       rec.is_shared = shared;
+      rec.writes_reg = true;
       rec.mem_size = in.msize;
-      for_lanes([&](int lane) {
-        const std::uint64_t addr =
-            w.reg(lane, in.src1) + static_cast<std::uint64_t>(in.imm);
-        std::uint64_t v;
-        if (shared) {
-          ST2_ASSERT(addr + in.msize <= smem_.size());
-          v = 0;
-          std::memcpy(&v, smem_.data() + addr, in.msize);
-        } else {
-          v = gmem_.load(addr, in.msize);
-        }
-        if (in.msext && in.msize < 8) {
-          v = static_cast<std::uint64_t>(sign_extend(v, 8 * in.msize));
-        }
-        write_result(lane, v);
-        rec.mem_addr[static_cast<std::size_t>(lane)] = addr;
+      with_width([&](auto width) {
+        using T = decltype(width);
+        for_lanes([&](int lane) {
+          const std::uint64_t addr = reg(lane, src1) + imm;
+          T v;
+          if (shared) {
+            ST2_ASSERT(in_bounds(addr, sizeof(T), smem_.size()));
+            std::memcpy(&v, smem_.data() + addr, sizeof(T));
+          } else {
+            v = gmem_.read_one<T>(addr);
+          }
+          write_result(lane, widen(v));
+          rec.mem_addr[static_cast<std::size_t>(lane)] = addr;
+        });
       });
       w.stack().advance();
       break;
@@ -347,17 +441,19 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
       rec.is_store = true;
       rec.is_shared = shared;
       rec.mem_size = in.msize;
-      for_lanes([&](int lane) {
-        const std::uint64_t addr =
-            w.reg(lane, in.src1) + static_cast<std::uint64_t>(in.imm);
-        const std::uint64_t v = w.reg(lane, in.src2);
-        if (shared) {
-          ST2_ASSERT(addr + in.msize <= smem_.size());
-          std::memcpy(smem_.data() + addr, &v, in.msize);
-        } else {
-          gmem_.store(addr, v, in.msize);
-        }
-        rec.mem_addr[static_cast<std::size_t>(lane)] = addr;
+      with_width([&](auto width) {
+        using T = decltype(width);
+        for_lanes([&](int lane) {
+          const std::uint64_t addr = reg(lane, src1) + imm;
+          const T v = static_cast<T>(reg(lane, src2));
+          if (shared) {
+            ST2_ASSERT(in_bounds(addr, sizeof(T), smem_.size()));
+            std::memcpy(smem_.data() + addr, &v, sizeof(T));
+          } else {
+            gmem_.write_one<T>(addr, v);
+          }
+          rec.mem_addr[static_cast<std::size_t>(lane)] = addr;
+        });
       });
       w.stack().advance();
       break;
@@ -371,26 +467,26 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
       rec.is_mem = true;
       rec.is_store = true;  // timing: read-modify-write transaction
       rec.is_shared = shared;
+      rec.writes_reg = true;
       rec.mem_size = in.msize;
-      for_lanes([&](int lane) {
-        const std::uint64_t addr =
-            w.reg(lane, in.src1) + static_cast<std::uint64_t>(in.imm);
-        const std::uint64_t v = w.reg(lane, in.src2);
-        std::uint64_t old = 0;
-        if (shared) {
-          ST2_ASSERT(addr + in.msize <= smem_.size());
-          std::memcpy(&old, smem_.data() + addr, in.msize);
-          const std::uint64_t nv = old + v;
-          std::memcpy(smem_.data() + addr, &nv, in.msize);
-        } else {
-          old = gmem_.load(addr, in.msize);
-          gmem_.store(addr, old + v, in.msize);
-        }
-        if (in.msext && in.msize < 8) {
-          old = static_cast<std::uint64_t>(sign_extend(old, 8 * in.msize));
-        }
-        write_result(lane, old);
-        rec.mem_addr[static_cast<std::size_t>(lane)] = addr;
+      with_width([&](auto width) {
+        using T = decltype(width);
+        for_lanes([&](int lane) {
+          const std::uint64_t addr = reg(lane, src1) + imm;
+          const T v = static_cast<T>(reg(lane, src2));
+          T old;
+          if (shared) {
+            ST2_ASSERT(in_bounds(addr, sizeof(T), smem_.size()));
+            std::memcpy(&old, smem_.data() + addr, sizeof(T));
+            const T nv = static_cast<T>(old + v);
+            std::memcpy(smem_.data() + addr, &nv, sizeof(T));
+          } else {
+            old = gmem_.read_one<T>(addr);
+            gmem_.write_one<T>(addr, static_cast<T>(old + v));
+          }
+          write_result(lane, widen(old));
+          rec.mem_addr[static_cast<std::size_t>(lane)] = addr;
+        });
       });
       w.stack().advance();
       break;
@@ -398,19 +494,20 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
 
     case Opcode::kShflDown:
     case Opcode::kShflIdx: {
+      rec.writes_reg = true;
       // Gather all active lanes' source values first: the exchange is
       // simultaneous, and inactive source lanes yield the reader's own value
       // (the *_sync semantics with the current active mask).
       std::array<std::uint64_t, kWarpSize> snapshot{};
       for_lanes([&](int lane) {
-        snapshot[static_cast<std::size_t>(lane)] = w.reg(lane, in.src1);
+        snapshot[static_cast<std::size_t>(lane)] = reg(lane, src1);
       });
       for_lanes([&](int lane) {
         int src_lane;
         if (in.op == Opcode::kShflDown) {
           src_lane = lane + static_cast<int>(in.imm);
         } else {
-          src_lane = static_cast<int>(w.reg(lane, in.src2) & 31u);
+          src_lane = static_cast<int>(reg(lane, src2) & 31u);
         }
         const bool valid = src_lane >= 0 && src_lane < kWarpSize &&
                            ((mask >> src_lane) & 1u) != 0;
@@ -423,12 +520,8 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
     }
 
     case Opcode::kBra: {
-      std::uint32_t taken = 0;
-      for_lanes([&](int lane) {
-        const bool p = w.pred(lane, in.pred) != in.pred_negate;
-        if (p) taken |= 1u << lane;
-      });
-      w.stack().branch(taken, in.target, in.reconv);
+      const std::uint32_t p = w.pred_bits(in.pred);
+      w.stack().branch((in.pred_negate ? ~p : p) & mask, in.target, in.reconv);
       break;
     }
 

@@ -35,6 +35,21 @@ class WarpContext {
   void set_reg(int lane, int r, std::uint64_t v) {
     regs_[static_cast<std::size_t>(lane) * regs_used_ + r] = v;
   }
+  /// The lane-major register file: lane l's register r is at
+  /// reg_file()[l * regs_used() + r]. Warp-wide loops hoist both.
+  std::uint64_t* reg_file() { return regs_.data(); }
+  int regs_used() const { return regs_used_; }
+
+  /// Predicate `p` of every lane, lane l in bit l.
+  std::uint32_t pred_bits(int p) const {
+    return preds_[static_cast<std::size_t>(p)];
+  }
+  /// Sets predicate `p` of the lanes in `mask` to their bits of `bits`.
+  void set_pred_bits(int p, std::uint32_t mask, std::uint32_t bits) {
+    std::uint32_t& word = preds_[static_cast<std::size_t>(p)];
+    word = (word & ~mask) | (bits & mask);
+  }
+
   bool pred(int lane, int p) const {
     return ((preds_[static_cast<std::size_t>(p)] >> lane) & 1u) != 0;
   }
@@ -133,13 +148,6 @@ class FunctionalCore {
   std::uint32_t initial_mask(int warp_in_block) const;
 
  private:
-  /// Static decode products of one instruction, interned per pc so the
-  /// interpreter's hot loop never re-classifies an opcode.
-  struct DecodedOp {
-    isa::UnitClass unit;
-    bool uses_adder;
-  };
-
   std::uint64_t special_value(isa::SpecialReg s, int block_flat,
                               int lin_tid) const;
 
@@ -147,7 +155,9 @@ class FunctionalCore {
   const LaunchConfig& launch_;
   GlobalMemory& gmem_;
   std::vector<std::uint8_t>& smem_;
-  std::vector<DecodedOp> decode_;  ///< indexed by pc
+  /// Unit class of each instruction, indexed by pc, so the interpreter's
+  /// hot loop never re-classifies an opcode.
+  std::vector<isa::UnitClass> units_;
 };
 
 }  // namespace st2::sim

@@ -9,6 +9,8 @@
 namespace st2::sim {
 
 inline constexpr int kWarpSize = 32;
+/// Active mask of a warp whose every lane runs.
+inline constexpr std::uint32_t kFullWarpMask = ~std::uint32_t{0};
 
 struct LaunchConfig {
   int grid_x = 1;

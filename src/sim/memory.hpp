@@ -15,6 +15,14 @@
 
 namespace st2::sim {
 
+/// True when the `size` bytes at `addr` lie inside a buffer of `n` bytes.
+/// Written without a sum, which would wrap: `addr + size <= n` accepts
+/// addr = 2^64 - 4, size = 8.
+constexpr bool in_bounds(std::uint64_t addr, std::uint64_t size,
+                         std::uint64_t n) {
+  return size <= n && addr <= n - size;
+}
+
 class GlobalMemory {
  public:
   explicit GlobalMemory(std::size_t bytes = 0) : data_(bytes, 0) {}
@@ -37,42 +45,43 @@ class GlobalMemory {
     std::memcpy(data_.data(), image.data(), image.size());
   }
 
-  // Inline: the functional interpreter calls these once per active lane of
-  // every global-memory instruction.
+  /// A 1-, 4- or 8-byte access, zero-extended. The functional step resolves
+  /// the width once per instruction and uses read_one / write_one instead.
   std::uint64_t load(std::uint64_t addr, int size) const {
     ST2_EXPECTS(size == 1 || size == 4 || size == 8);
-    ST2_EXPECTS(addr + static_cast<std::uint64_t>(size) <= data_.size());
+    ST2_EXPECTS(in_bounds(addr, static_cast<std::uint64_t>(size), data_.size()));
     std::uint64_t v = 0;
     std::memcpy(&v, data_.data() + addr, static_cast<std::size_t>(size));
     return v;
   }
   void store(std::uint64_t addr, std::uint64_t value, int size) {
     ST2_EXPECTS(size == 1 || size == 4 || size == 8);
-    ST2_EXPECTS(addr + static_cast<std::uint64_t>(size) <= data_.size());
+    ST2_EXPECTS(in_bounds(addr, static_cast<std::uint64_t>(size), data_.size()));
     std::memcpy(data_.data() + addr, &value, static_cast<std::size_t>(size));
   }
 
-  // Typed host-side accessors for workload setup/validation.
+  // Typed accessors for workload setup/validation; read_one and write_one
+  // are also the functional step's per-lane loads and stores, inline.
   template <typename T>
   void write(std::uint64_t addr, std::span<const T> values) {
-    ST2_EXPECTS(addr + values.size_bytes() <= data_.size());
+    ST2_EXPECTS(in_bounds(addr, values.size_bytes(), data_.size()));
     std::memcpy(data_.data() + addr, values.data(), values.size_bytes());
   }
   template <typename T>
   void read(std::uint64_t addr, std::span<T> out) const {
-    ST2_EXPECTS(addr + out.size_bytes() <= data_.size());
+    ST2_EXPECTS(in_bounds(addr, out.size_bytes(), data_.size()));
     std::memcpy(out.data(), data_.data() + addr, out.size_bytes());
   }
   template <typename T>
   T read_one(std::uint64_t addr) const {
     T v;
-    ST2_EXPECTS(addr + sizeof(T) <= data_.size());
+    ST2_EXPECTS(in_bounds(addr, sizeof(T), data_.size()));
     std::memcpy(&v, data_.data() + addr, sizeof(T));
     return v;
   }
   template <typename T>
   void write_one(std::uint64_t addr, T v) {
-    ST2_EXPECTS(addr + sizeof(T) <= data_.size());
+    ST2_EXPECTS(in_bounds(addr, sizeof(T), data_.size()));
     std::memcpy(data_.data() + addr, &v, sizeof(T));
   }
 

@@ -17,6 +17,33 @@ bool carry_out_of_24(std::uint64_t a, std::uint64_t b) {
   return (((a & low_mask(24)) + (b & low_mask(24))) >> 24) != 0;
 }
 
+TEST(AdderOps, SliceCountsCoverExactlyTheAdderOpcodes) {
+  for (int o = 0; o < static_cast<int>(Opcode::kOpcodeCount); ++o) {
+    const auto op = static_cast<Opcode>(o);
+    const auto m = adder_micro_op(op, 5, 3, 1);
+    EXPECT_EQ(adder_slices(op) != 0, isa::uses_adder(op)) << isa::mnemonic(op);
+    ASSERT_EQ(m.has_value(), isa::uses_adder(op)) << isa::mnemonic(op);
+    if (m) {
+      EXPECT_EQ(m->num_slices, adder_slices(op)) << isa::mnemonic(op);
+    }
+  }
+}
+
+// NaN * NaN carries the first NaN's payload, whatever operand order the
+// compiler emits for the multiply.
+TEST(AdderOps, FmaOfTwoNansAddsTheFirstNansMantissa) {
+  const std::uint64_t nan1 = 0x7fc00001u, nan2 = 0x7fc00002u;
+  const std::uint64_t one = std::bit_cast<std::uint32_t>(1.0f);
+  EXPECT_EQ(adder_micro_op(Opcode::kFFma, nan1, nan2, one)->a, 0xc00001u);
+  EXPECT_EQ(adder_micro_op(Opcode::kFFma, nan2, nan1, one)->a, 0xc00002u);
+  const std::uint64_t dnan1 = 0x7ff8000000000001u, dnan2 = 0x7ff8000000000002u;
+  const std::uint64_t done = std::bit_cast<std::uint64_t>(1.0);
+  EXPECT_EQ(adder_micro_op(Opcode::kDFma, dnan1, dnan2, done)->a,
+            0x18000000000001u);
+  EXPECT_EQ(adder_micro_op(Opcode::kDFma, dnan2, dnan1, done)->a,
+            0x18000000000002u);
+}
+
 TEST(AdderOps, IntegerAddIsThirtyTwoBit) {
   const auto m = adder_micro_op(Opcode::kIAdd, 0x1'0000'00FFull, 1, 0);
   ASSERT_TRUE(m.has_value());

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "src/isa/builder.hpp"
 #include "src/sim/memory.hpp"
+#include "src/sim/trace_run.hpp"
 
 namespace st2::sim {
 namespace {
@@ -32,6 +34,38 @@ TEST(GlobalMemoryTest, TypedHostAccessors) {
   EXPECT_EQ(got, xs);
   m.write_one<float>(a + 4, 7.0f);
   EXPECT_EQ(m.read_one<float>(a + 4), 7.0f);
+}
+
+// A bounds check written `addr + size <= n` wraps for addresses near 2^64
+// and would let such an access through to host memory outside the array.
+TEST(GlobalMemoryDeathTest, LoadNearTheTopOfTheAddressSpaceAborts) {
+  GlobalMemory m(64);
+  EXPECT_DEATH((void)m.load(~0ull - 3, 8), "Precondition");
+  EXPECT_DEATH((void)m.read_one<std::uint64_t>(~0ull - 3), "Precondition");
+  EXPECT_DEATH(m.write_one<std::uint32_t>(~0ull - 1, 7), "Precondition");
+}
+
+TEST(GlobalMemoryDeathTest, SharedStoreAtANegativeAddressAborts) {
+  isa::KernelBuilder kb("neg");
+  kb.alloc_shared(64);
+  kb.st_shared(kb.imm(-8), kb.imm(1), 0, 8);
+  kb.exit();
+  const isa::Kernel k = kb.build();
+  GlobalMemory mem;
+  LaunchConfig lc;
+  lc.block_x = 1;
+  EXPECT_DEATH(trace_run(k, lc, mem), "Invariant");
+}
+
+TEST(GlobalMemoryTest, AccessEndingAtTheLastByteIsInBounds) {
+  GlobalMemory m(64);
+  m.store(56, 0x0102030405060708ull, 8);
+  EXPECT_EQ(m.load(56, 8), 0x0102030405060708ull);
+  EXPECT_EQ(m.read_one<std::uint32_t>(60), 0x01020304u);
+  EXPECT_TRUE(in_bounds(60, 4, 64));
+  EXPECT_FALSE(in_bounds(61, 4, 64));
+  EXPECT_FALSE(in_bounds(~0ull - 3, 8, 64));
+  EXPECT_FALSE(in_bounds(0, 65, 64));
 }
 
 TEST(CacheTest, ColdMissThenHit) {
