@@ -95,8 +95,23 @@ elif ! cmp -s "$GOLDEN/all_st2_scale0.1.json" "$out"; then
     fails=$((fails + 1))
 fi
 
+# Fault-injection golden: every fault class firing at once, so the fault
+# counters (history flips, masked repairs, forced mispredicts, extra repair
+# cycles) and the timing they perturb are pinned like the fault-free runs.
+out="$WORK/all_st2_inject_scale0.1.json"
+if ! "$ST2SIM" run all --st2 --scale 0.1 \
+    --inject crf:0.05,hist:0.2,detect:0.2,mask:0.2 --inject-seed 7 \
+    --json "$out" >/dev/null 2>&1; then
+    echo "FAIL: run all --inject exited $?" >&2
+    fails=$((fails + 1))
+elif ! cmp -s "$GOLDEN/all_st2_inject_scale0.1.json" "$out"; then
+    echo "FAIL: --inject differs from $GOLDEN/all_st2_inject_scale0.1.json:" >&2
+    diff "$GOLDEN/all_st2_inject_scale0.1.json" "$out" | head -20 >&2
+    fails=$((fails + 1))
+fi
+
 if [ "$fails" -ne 0 ]; then
     echo "golden_counters: $fails run(s) diverged (workdir: $WORK)" >&2
     exit 1
 fi
-echo "golden_counters: all 12 runs byte-identical to the references"
+echo "golden_counters: all 13 runs byte-identical to the references"
