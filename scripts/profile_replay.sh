@@ -20,11 +20,18 @@ BUILD=${1:-"$SRC_DIR/build-prof"}
 mkdir -p "$BUILD"
 BUILD=$(cd "$BUILD" && pwd)
 
-cmake -B "$BUILD" -S "$SRC_DIR" -DCMAKE_BUILD_TYPE=Release \
-    -DCMAKE_CXX_FLAGS="-pg" -DCMAKE_EXE_LINKER_FLAGS="-pg" >/dev/null
-cmake --build "$BUILD" -j"$(nproc)" --target st2sim >/dev/null
-
 WORK=$(mktemp -d /tmp/st2_prof.XXXXXX)
+# The build's output (compiler warnings included) goes to a log, shown only
+# if the build fails, so the profile is the first thing printed.
+LOG="$WORK/build.log"
+if ! { cmake -B "$BUILD" -S "$SRC_DIR" -DCMAKE_BUILD_TYPE=Release \
+        -DCMAKE_CXX_FLAGS="-pg" -DCMAKE_EXE_LINKER_FLAGS="-pg" &&
+    cmake --build "$BUILD" -j"$(nproc)" --target st2sim; } >"$LOG" 2>&1; then
+    cat "$LOG" >&2
+    echo "profile_replay: build failed (log: $LOG)" >&2
+    exit 1
+fi
+
 cd "$WORK"
 "$BUILD/tools/st2sim" run all --st2 --scale 0.5 --profile >/dev/null
 gprof -b "$BUILD/tools/st2sim" gmon.out | head -40

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <exception>
 #include <memory>
@@ -55,18 +54,11 @@ void append_op(WarpStream& ws, const ExecRecord& rec, int line_bytes,
     }
     t.mem_lines = static_cast<std::uint16_t>(n);
   } else if (rec.has_adder_op && capture_adder) {
-    // The value-dependent speculation inputs of each active lane, as step()
-    // resolved them; replay combines them with the CRF history, which is
-    // timing-dependent. The stream grows once per instruction, then takes
-    // one 4-byte record per active lane.
-    const std::size_t base = ws.adder_lanes.size();
-    t.payload = static_cast<std::uint32_t>(base);
-    ws.adder_lanes.resize(base + static_cast<std::size_t>(
-                                     std::popcount(rec.active_mask)));
-    spec::LaneRecord* out = ws.adder_lanes.data() + base;
-    for (std::uint32_t m = rec.active_mask; m != 0; m &= m - 1) {
-      *out++ = rec.lanes.get(std::countr_zero(m));
-    }
+    // The value-dependent speculation inputs of the active lanes, as
+    // step() resolved them; replay combines them with the CRF history,
+    // which is timing-dependent.
+    t.payload = static_cast<std::uint32_t>(ws.adder_lanes.size());
+    ws.adder_lanes.push_back(rec.lanes.masked(rec.active_mask));
   }
   ws.ops.push_back(t);
 }

@@ -542,7 +542,8 @@ int SmCore::mem_latency(const WarpStream& ws, const TraceOp& op, bool atomic,
 
 int SmCore::speculate(const WarpStream& ws, const TraceOp& op, int latency) {
   // ST2 carry speculation for one warp adder instruction against this SM's
-  // CRF. Returns the number of extra cycles (0 or 1).
+  // CRF, all active lanes at once (spec::resolve_warp). Returns the number
+  // of extra cycles (0 or 1).
   //
   // Fault hooks (src/fault; off by default): every selection for this
   // instruction is drawn up front so the injector's RNG advances as a pure
@@ -550,10 +551,9 @@ int SmCore::speculate(const WarpStream& ws, const TraceOp& op, int latency) {
   // across --jobs N. Injected faults can only perturb prediction *history*
   // and the detector — the repaired result is always the ground-truth carry
   // pattern from capture, which is the paper's safe-by-construction claim.
-  int flip_lane = -1;   // transient history-read flip target
+  int flip_lane = -1;  // transient history-read flip target
   int flip_bit = 0;
-  int force_lane = -1;  // forced-mispredict detector fault target
-  int mask_lane = -1;   // forced-hit (masked repair) detector fault target
+  spec::DetectorEdits edits;
   if (inject_) {
     if (inject_->fire_crf()) {
       crf_->flip_bit(op.pc, inject_->pick(spec::CarryRegisterFile::kLanes),
@@ -564,86 +564,60 @@ int SmCore::speculate(const WarpStream& ws, const TraceOp& op, int latency) {
       flip_lane = inject_->pick(kWarpSize);
       flip_bit = inject_->pick(spec::CarryRegisterFile::kBitsPerLane);
     }
-    if (inject_->fire_detect()) force_lane = inject_->pick(kWarpSize);
-    if (inject_->fire_mask()) mask_lane = inject_->pick(kWarpSize);
+    // Forced-mispredict fault: a spurious repair of a lane that predicted
+    // correctly. Harmless by construction — the "repaired" carries equal
+    // the predicted ones — but it costs the +1 cycle and a retraining write
+    // like any genuine misprediction.
+    if (inject_->fire_detect()) edits.detect = 1u << inject_->pick(kWarpSize);
+    // Forced-hit fault: the detector stays silent on a real mispredict. The
+    // one fault class outside ST2's safety envelope — counted so the
+    // self-check layer can fail the run (in hardware the result would be
+    // corrupt); no repair cycle, no recompute, no retraining write.
+    if (inject_->fire_mask()) edits.mask = 1u << inject_->pick(kWarpSize);
   }
 
-  const auto row = crf_->read_row(op.pc);
+  auto row = crf_->read_row(op.pc);
   ++counters_.crf_row_reads;
-  const std::uint64_t due = now_ + static_cast<unsigned>(latency + 1);
-  bool any_repair = false;
-  bool any_genuine_repair = false;
-  std::size_t lane_idx = op.payload;
-  std::uint64_t slice_computes = 0;
-  // Active lanes only, lowest first — identical order to a 32-lane scan.
-  std::uint32_t lanes = op.active_mask;
-  while (lanes != 0) {
-    const int lane = std::countr_zero(lanes);
-    lanes &= lanes - 1;
-    const spec::LaneRecord& t = ws.adder_lanes[lane_idx++];
-    const int num_slices = t.num_slices;
-
-    std::uint8_t hist = row[static_cast<std::size_t>(lane)];
-    if (lane == flip_lane) {
-      // The corrupted value flows through prediction AND the write-back
-      // merge below — the adversarial read-modify-write path.
-      hist ^= static_cast<std::uint8_t>(1u << flip_bit);
-      ++counters_.faults_hist_flips;
-    }
-
-    const spec::SpeculationOutcome out = spec::resolve_prediction(
-        spec::compose_prediction(hist, t), t.actual, num_slices);
-
-    ++counters_.adder_thread_ops;
-    slice_computes += static_cast<std::uint64_t>(num_slices);
-
-    const bool genuine = out.any_misprediction();
-    bool repair = genuine;
-    if (lane == mask_lane && genuine) {
-      // Forced-hit fault: the detector stays silent on a real mispredict.
-      // The one fault class outside ST2's safety envelope — counted so the
-      // self-check layer can fail the run (in hardware the result would be
-      // corrupt); no repair cycle, no recompute, no retraining write.
-      repair = false;
-      ++counters_.faults_masked_repairs;
-    } else if (lane == force_lane && !genuine) {
-      // Forced-mispredict fault: a spurious repair. Harmless by
-      // construction — the "repaired" carries equal the predicted ones —
-      // but it costs the +1 cycle and a retraining write like any genuine
-      // misprediction.
-      repair = true;
-      ++counters_.faults_forced_mispredicts;
-    }
-
-    if (repair) {
-      if (genuine) {
-        ++counters_.adder_mispredicts;
-        counters_.slice_recomputes +=
-            static_cast<std::uint64_t>(out.recompute_count());
-        any_genuine_repair = true;
-      }
-      any_repair = true;
-      // Repairing threads write the true pattern back, merging the bits
-      // they own into the shared 7-bit entry. The write lands at this
-      // instruction's write-back stage (issue + latency + recovery cycle),
-      // where it arbitrates against whatever else retires that cycle.
-      pending_crf_.push_back(
-          PendingCrfWrite{due, op.pc, static_cast<std::uint8_t>(lane),
-                          spec::merge_history(hist, t)});
-      ++counters_.crf_writes;
-    }
+  if (flip_lane >= 0 && ((op.active_mask >> flip_lane) & 1u) != 0) {
+    // The corrupted value flows through prediction AND the write-back
+    // merge below — the adversarial read-modify-write path.
+    row[static_cast<std::size_t>(flip_lane)] ^=
+        static_cast<std::uint8_t>(1u << flip_bit);
+    ++counters_.faults_hist_flips;
   }
-  counters_.slice_computes += slice_computes;
-  if (due < crf_due_min_ && any_repair) crf_due_min_ = due;
+  const spec::WarpResolve r = spec::resolve_warp(
+      row.data(), ws.adder_lanes[op.payload], op.active_mask, 0xff, edits);
+
+  counters_.adder_thread_ops += r.tally.ops;
+  // A lane computes num_slices slices: its carry bits plus one.
+  counters_.slice_computes += r.tally.carry_bits + r.tally.ops;
+  counters_.adder_mispredicts += r.tally.mispredicted;
+  counters_.slice_recomputes += r.tally.recomputes;
+  counters_.faults_masked_repairs +=
+      static_cast<std::uint64_t>(popcount64(r.mispredicted & edits.mask));
+  counters_.faults_forced_mispredicts +=
+      static_cast<std::uint64_t>(popcount64(r.repair & ~r.mispredicted));
   ++counters_.warp_adder_insts;
-  if (any_repair) {
-    ++counters_.warp_adder_stalls;
-    // The +1 cycle exists only because of injected faults when no genuine
-    // misprediction repaired this instruction.
-    if (!any_genuine_repair) ++counters_.faults_extra_repairs;
-    return 1;
+  if (r.repair == 0) return 0;
+
+  // Repairing threads write the true pattern back, merging the bits they
+  // own into the shared 7-bit entry. The write lands at this instruction's
+  // write-back stage (issue + latency + recovery cycle), where it
+  // arbitrates against whatever else retires that cycle, in lane order.
+  const std::uint64_t due = now_ + static_cast<unsigned>(latency + 1);
+  for (std::uint32_t m = r.repair; m != 0; m &= m - 1) {
+    const int lane = std::countr_zero(m);
+    pending_crf_.push_back(PendingCrfWrite{
+        due, op.pc, static_cast<std::uint8_t>(lane),
+        r.merged[static_cast<std::size_t>(lane)]});
   }
-  return 0;
+  counters_.crf_writes += static_cast<std::uint64_t>(popcount64(r.repair));
+  crf_due_min_ = std::min(crf_due_min_, due);
+  ++counters_.warp_adder_stalls;
+  // The +1 cycle exists only because of injected faults when no genuine
+  // misprediction repaired this instruction.
+  if (r.tally.mispredicted == 0) ++counters_.faults_extra_repairs;
+  return 1;
 }
 
 void SmCore::issue(int sched, int w, const TraceOp& op) {

@@ -42,8 +42,8 @@
 namespace st2::sim {
 
 /// One executed warp instruction, reduced to what timing replay needs.
-/// Payload (coalesced cache lines for global memory ops, per-lane carry
-/// data for adder ops) lives in the owning WarpStream's pools.
+/// Payload (coalesced cache lines for global memory ops, the lane planes
+/// of adder ops) lives in the owning WarpStream's pools.
 struct TraceOp {
   static constexpr std::uint8_t kIsMem = 1u << 0;
   static constexpr std::uint8_t kIsStore = 1u << 1;
@@ -55,7 +55,9 @@ struct TraceOp {
   std::uint32_t active_mask = 0;
   std::uint8_t flags = 0;
   std::uint16_t mem_lines = 0;  ///< coalesced line count (global mem ops)
-  std::uint32_t payload = 0;    ///< start index into the stream's pools
+  /// Index into the stream's pools: the first of `mem_lines` lines of a
+  /// global memory op, or the WarpLanes of an adder op.
+  std::uint32_t payload = 0;
 
   bool is_mem() const { return (flags & kIsMem) != 0; }
   bool is_store() const { return (flags & kIsStore) != 0; }
@@ -68,10 +70,10 @@ struct TraceOp {
 struct WarpStream {
   std::vector<TraceOp> ops;
   std::vector<std::uint64_t> lines;        ///< coalesced line addresses
-  /// Per (op, active lane), in order. Peek and the ground truth are
-  /// functions of the operands only, so capture derives them once and
-  /// replay combines them with the (timing-dependent) CRF history.
-  std::vector<spec::LaneRecord> adder_lanes;
+  /// One per adder op, in order, inactive lanes zeroed. Peek and the ground
+  /// truth are functions of the operands only, so capture derives them once
+  /// and replay combines them with the (timing-dependent) CRF history.
+  std::vector<spec::WarpLanes> adder_lanes;
 };
 
 /// One thread block's warps, ready for admission to an SM.

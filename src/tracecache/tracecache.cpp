@@ -1,15 +1,16 @@
 #include "src/tracecache/tracecache.hpp"
 
-#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <utility>
 
+#include "src/common/bitutils.hpp"
 #include "src/sim/error.hpp"
 #include "src/snapshot/crc32.hpp"
 #include "src/snapshot/serial.hpp"
 #include "src/snapshot/snapshot.hpp"
+#include "src/spec/predictor.hpp"
 
 namespace st2::tracecache {
 
@@ -35,7 +36,7 @@ std::size_t entry_bytes(const CanonicalCapture& cap) {
       n += sizeof(sim::WarpStream);
       n += ws.ops.size() * sizeof(sim::TraceOp);
       n += ws.lines.size() * sizeof(std::uint64_t);
-      n += ws.adder_lanes.size() * sizeof(spec::LaneRecord);
+      n += ws.adder_lanes.size() * sizeof(spec::WarpLanes);
     }
   }
   return n;
@@ -89,6 +90,32 @@ std::uint64_t hash_image(const std::uint8_t* p, std::size_t n) {
   return h;
 }
 
+/// Whether `lanes` are planes capture could have written for an op with
+/// `active` lanes: each active lane's relevant byte is some relevant_mask(n)
+/// with n in 1..8, its true carries lie under it, and its certain carries
+/// under its Peek mask; every inactive lane's bytes are 0.
+bool valid_lanes(const spec::WarpLanes& lanes, std::uint32_t active) {
+  constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+  constexpr std::uint64_t kMsbs = 0x8080808080808080ULL;
+  for (int w = 0; w < spec::kWarpLanes / 8; ++w) {
+    const auto at = static_cast<std::size_t>(8 * w);
+    const std::uint64_t dead = ~byte_mask_from_bits(active >> (8 * w));
+    const std::uint64_t pm =
+        spec::load_byte_lanes(lanes.peek_mask.data() + at);
+    const std::uint64_t pc =
+        spec::load_byte_lanes(lanes.peek_carries.data() + at);
+    const std::uint64_t act = spec::load_byte_lanes(lanes.actual.data() + at);
+    const std::uint64_t rel =
+        spec::load_byte_lanes(lanes.relevant.data() + at);
+    if (((pm | pc | act | rel) & dead) != 0) return false;
+    // A byte below 0x80 is a low mask exactly when adding 1 clears all its
+    // bits; with no byte at or above 0x80 the add carries into no neighbour.
+    if ((rel & kMsbs) != 0 || ((rel + kOnes) & rel) != 0) return false;
+    if ((act & ~rel) != 0 || (pc & ~pm) != 0) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 std::string capture_key(const sim::GpuConfig& cfg, const isa::Kernel& kernel,
@@ -100,7 +127,7 @@ std::string capture_key(const sim::GpuConfig& cfg, const isa::Kernel& kernel,
   std::uint64_t khash = snapshot::fnv1a64(kernel.disassemble());
   khash = snapshot::fnv1a64(kernel.name.data(), kernel.name.size(),
                             khash ^ 0x9e3779b97f4a7c15ULL);
-  std::string key = "st2cap-v1 kernel=" + kernel.name +
+  std::string key = "st2cap-v2 kernel=" + kernel.name +
                     " khash=" + hex16(khash) +
                     " shared=" + std::to_string(kernel.shared_bytes) +
                     " regs=" + std::to_string(kernel.regs_used) +
@@ -138,14 +165,13 @@ std::string serialize_capture(const CanonicalCapture& cap,
       w.u32(static_cast<std::uint32_t>(ws.lines.size()));
       for (const std::uint64_t line : ws.lines) w.u64(line);
       // The lane pool is by far the largest stream for adder-heavy kernels;
-      // LaneRecord is four contiguous u8 fields, so a bulk raw write
-      // produces exactly the bytes the per-field loop would (and the
-      // matching bulk read makes warm hits cheap).
-      static_assert(sizeof(spec::LaneRecord) == 4);
+      // a WarpLanes is four byte planes, so a bulk raw write produces
+      // exactly the bytes a per-field loop would (and the matching bulk
+      // read makes warm hits cheap).
       w.u32(static_cast<std::uint32_t>(ws.adder_lanes.size()));
       w.raw(std::string_view(
           reinterpret_cast<const char*>(ws.adder_lanes.data()),
-          ws.adder_lanes.size() * sizeof(spec::LaneRecord)));
+          ws.adder_lanes.size() * sizeof(spec::WarpLanes)));
     }
   }
   w.u64(cap.final_mem.size());
@@ -197,16 +223,12 @@ CanonicalCapture deserialize_capture(std::string_view payload,
       ws.lines.resize(num_lines);
       for (std::uint32_t li = 0; li < num_lines; ++li) ws.lines[li] = r.u64();
       const std::uint32_t num_adder = r.u32();
-      r.require(num_adder <= payload.size(),
+      r.require(num_adder <= payload.size() / sizeof(spec::WarpLanes),
                 "adder-lane count overruns the payload");
       ws.adder_lanes.resize(num_adder);
       const std::string_view lanes =
-          r.raw(num_adder * sizeof(spec::LaneRecord));
+          r.raw(num_adder * sizeof(spec::WarpLanes));
       std::memcpy(ws.adder_lanes.data(), lanes.data(), lanes.size());
-      for (const spec::LaneRecord& lt : ws.adder_lanes) {
-        r.require(lt.num_slices >= 1 && lt.num_slices <= 8,
-                  "adder slice count out of range");
-      }
       // Semantic bounds: every index replay will follow must land inside
       // the pools just read, so corrupt streams surface here as a typed
       // rejection instead of out-of-range access in SmCore.
@@ -218,11 +240,10 @@ CanonicalCapture deserialize_capture(std::string_view payload,
                         ws.lines.size(),
                     "memory op references lines outside the pool");
         } else if (op.has_adder()) {
-          const int active = std::popcount(op.active_mask);
-          r.require(static_cast<std::size_t>(op.payload) +
-                            static_cast<std::size_t>(active) <=
-                        ws.adder_lanes.size(),
+          r.require(op.payload < ws.adder_lanes.size(),
                     "adder op references lanes outside the pool");
+          r.require(valid_lanes(ws.adder_lanes[op.payload], op.active_mask),
+                    "adder lane planes are malformed");
         }
       }
     }

@@ -14,7 +14,9 @@
 // stream — including its training and arbitration behaviour — is proven
 // safe, not just random stand-ins for it. The packed warp step
 // (LatticeRule::step, eight byte lanes per uint64_t) is held to a lane-by-lane
-// loop of the scalar rule over 100k random warps and every rule shape. A
+// loop of the scalar rule over 100k random warps and every rule shape, and
+// the packed resolve under it (resolve_warp, shared with SmCore::speculate)
+// to a lane-order loop over random rows, masks and detector faults. A
 // final cross-policy test replays
 // real workloads under every policy and asserts the architectural counters
 // are bit-identical (only timing/speculation counters may move).
@@ -286,6 +288,179 @@ TEST(SpecProperty, PackedWarpStepMatchesTheLaneByLaneRule) {
         const auto l = static_cast<std::size_t>(lane);
         ASSERT_EQ(packed[si][l], ref[si][l]) << where() << " entry " << lane;
       }
+    }
+  }
+}
+
+// ---- Packed resolve against the lane-order rule ----------------------------
+
+constexpr int kResolveWarps = 200'000;
+
+/// The lane-order oracle of resolve_warp: every active lane composes from
+/// its own row byte, resolves and merges through compose_prediction,
+/// resolve_prediction and merge_history, and the detector edits apply lane
+/// by lane (a masked lane only if it mispredicted, a forced one only if it
+/// did not).
+WarpResolve resolve_reference(const std::array<std::uint8_t, kWarpLanes>& row,
+                              const WarpLanes& lanes, std::uint32_t active,
+                              std::uint8_t peek_keep, DetectorEdits edits) {
+  WarpResolve r;
+  WarpTally& t = r.tally;
+  for (int lane = 0; lane < kWarpLanes; ++lane) {
+    const std::uint32_t bit_l = 1u << lane;
+    if ((active & bit_l) == 0) continue;
+    LaneRecord rec = lanes.get(lane);
+    rec.peek_mask &= peek_keep;
+    rec.peek_carries &= peek_keep;
+    const std::uint8_t hist = row[static_cast<std::size_t>(lane)];
+    const SpeculationOutcome out = resolve_prediction(
+        compose_prediction(hist, rec), rec.actual, rec.num_slices);
+    ++t.ops;
+    t.carry_bits += static_cast<std::uint64_t>(rec.num_slices - 1);
+    const bool genuine = out.any_misprediction();
+    const bool masked = genuine && (edits.mask & bit_l) != 0;
+    const bool forced = !genuine && (edits.detect & bit_l) != 0;
+    if (genuine) r.mispredicted |= bit_l;
+    if (genuine && !masked) {
+      ++t.mispredicted;
+      t.wrong_bits +=
+          static_cast<std::uint64_t>(popcount_byte(out.mispredicted));
+      t.recomputes += static_cast<std::uint64_t>(out.recompute_count());
+    }
+    if ((genuine && !masked) || forced) r.repair |= bit_l;
+    r.merged[static_cast<std::size_t>(lane)] = merge_history(hist, rec);
+  }
+  return r;
+}
+
+TEST(SpecProperty, PackedResolveMatchesTheLaneOrderRule) {
+  Xoshiro256 rng(0x7e501fe5ULL);
+  constexpr int kSlices[] = {3, 4, 7, 8};
+  // Warps on which a mask edit hid a misprediction, a detect edit forced a
+  // repair, and both at once: the net must reach each case.
+  int masked = 0, forced = 0, both = 0;
+  for (int warp = 0; warp < kResolveWarps; ++warp) {
+    const std::uint64_t mask_pick = rng.next_below(6);
+    const std::uint32_t active =
+        mask_pick == 0   ? ~0u
+        : mask_pick == 1 ? 0x1u
+        : mask_pick == 2 ? 0x80000000u
+        : mask_pick == 3 ? 0x55555555u
+                         : std::max<std::uint32_t>(rng.next_u32(), 1u);
+    // Real records where active; noise the resolve must ignore elsewhere.
+    WarpLanes lanes;
+    for (int lane = 0; lane < kWarpLanes; ++lane) {
+      const auto l = static_cast<std::size_t>(lane);
+      if (((active >> lane) & 1u) == 0) {
+        const std::uint32_t noise = rng.next_u32();
+        lanes.peek_mask[l] = static_cast<std::uint8_t>(noise);
+        lanes.peek_carries[l] = static_cast<std::uint8_t>(noise >> 8);
+        lanes.actual[l] = static_cast<std::uint8_t>(noise >> 16);
+        lanes.relevant[l] = static_cast<std::uint8_t>(noise >> 24);
+        continue;
+      }
+      lanes.set(lane, lane_record(shaped_operand(rng), shaped_operand(rng),
+                                  (rng.next_u64() & 1u) != 0,
+                                  kSlices[rng.next_below(4)]));
+    }
+    // Random rows: half the time full bytes, else near-trained patterns
+    // (the record's own carries with a few flipped bits) so that both
+    // mispredicting and correct lanes are common.
+    std::array<std::uint8_t, kWarpLanes> row{};
+    const bool near = (rng.next_u64() & 1u) != 0;
+    for (int lane = 0; lane < kWarpLanes; ++lane) {
+      const auto l = static_cast<std::size_t>(lane);
+      const auto noise = static_cast<std::uint8_t>(rng.next_u32());
+      row[l] = near ? static_cast<std::uint8_t>(
+                          lanes.actual[l] ^ (noise & (noise >> 3) & 0x7f))
+                    : noise;
+    }
+    // Fault lanes: none, on an inactive lane, mask and detect on one lane,
+    // both firing on different lanes, or anywhere.
+    const auto lane_bit = [&](std::uint32_t pool) {
+      std::uint32_t m = pool;
+      for (std::uint64_t k = rng.next_below(
+               static_cast<std::uint64_t>(popcount64(pool)));
+           k != 0; --k) {
+        m &= m - 1;
+      }
+      return m & (0u - m);
+    };
+    DetectorEdits edits;
+    switch (rng.next_below(5)) {
+      case 0: break;
+      case 1:
+        if (active != ~0u) {
+          edits.mask = lane_bit(~active);
+          edits.detect = lane_bit(~active);
+        }
+        break;
+      case 2: edits.mask = edits.detect = lane_bit(active); break;
+      case 3:
+        edits.mask = lane_bit(active);
+        edits.detect = lane_bit(active);
+        break;
+      default:
+        edits.mask = 1u << rng.next_below(32);
+        edits.detect = 1u << rng.next_below(32);
+        break;
+    }
+    for (const std::uint8_t keep : {std::uint8_t{0xff}, std::uint8_t{0}}) {
+      const WarpResolve got = resolve_warp(row.data(), lanes, active, keep,
+                                           edits);
+      const WarpResolve want =
+          resolve_reference(row, lanes, active, keep, edits);
+      // Built only when an assertion fails.
+      const auto where = [&] {
+        return ::testing::Message()
+               << "warp " << warp << " keep " << int(keep) << std::hex
+               << " active 0x" << active << " mask 0x" << edits.mask
+               << " detect 0x" << edits.detect;
+      };
+      ASSERT_EQ(got.tally.ops, want.tally.ops) << where();
+      ASSERT_EQ(got.tally.mispredicted, want.tally.mispredicted) << where();
+      ASSERT_EQ(got.tally.wrong_bits, want.tally.wrong_bits) << where();
+      ASSERT_EQ(got.tally.carry_bits, want.tally.carry_bits) << where();
+      ASSERT_EQ(got.tally.recomputes, want.tally.recomputes) << where();
+      ASSERT_EQ(got.mispredicted, want.mispredicted) << where();
+      ASSERT_EQ(got.repair, want.repair) << where();
+      for (int lane = 0; lane < kWarpLanes; ++lane) {
+        if (((active >> lane) & 1u) == 0) continue;
+        const auto l = static_cast<std::size_t>(lane);
+        ASSERT_EQ(got.merged[l], want.merged[l]) << where() << " lane "
+                                                 << lane;
+      }
+      const bool m = (got.mispredicted & edits.mask) != 0;
+      const bool f = (got.repair & ~got.mispredicted) != 0;
+      masked += m;
+      forced += f;
+      both += m && f;
+    }
+  }
+  EXPECT_GT(masked, 10000);
+  EXPECT_GT(forced, 10000);
+  EXPECT_GT(both, 1000);
+}
+
+TEST(SpecProperty, MaskedPlanesZeroEveryInactiveLane) {
+  Xoshiro256 rng(0x3a5ced01ULL);
+  for (int i = 0; i < 10'000; ++i) {
+    WarpLanes lanes;
+    for (auto* plane : {&lanes.peek_mask, &lanes.peek_carries, &lanes.actual,
+                        &lanes.relevant}) {
+      for (std::uint8_t& b : *plane) {
+        b = static_cast<std::uint8_t>(rng.next_u32());
+      }
+    }
+    const std::uint32_t active = rng.next_u32();
+    const WarpLanes m = lanes.masked(active);
+    for (int lane = 0; lane < kWarpLanes; ++lane) {
+      const auto l = static_cast<std::size_t>(lane);
+      const bool on = ((active >> lane) & 1u) != 0;
+      ASSERT_EQ(m.peek_mask[l], on ? lanes.peek_mask[l] : 0);
+      ASSERT_EQ(m.peek_carries[l], on ? lanes.peek_carries[l] : 0);
+      ASSERT_EQ(m.actual[l], on ? lanes.actual[l] : 0);
+      ASSERT_EQ(m.relevant[l], on ? lanes.relevant[l] : 0);
     }
   }
 }

@@ -465,11 +465,60 @@ TEST_F(TraceCacheHostileTest, ValidCrcButSemanticallyBadPayloadsAreRejected) {
     }
     expect_reject(std::move(m), "adder-pool overrun");
   }
+  // Lane-plane rejections, on the first adder op of warp 0 (the tiny
+  // kernel's warps are full, so its lanes are all active) and on lane 0.
+  const auto first_adder = [](CanonicalCapture& m) -> spec::WarpLanes& {
+    sim::WarpStream& ws = m.blocks.at(0).warps.at(0);
+    for (const sim::TraceOp& op : ws.ops) {
+      if (op.has_adder() && !(op.is_mem() && !op.is_shared())) {
+        return ws.adder_lanes.at(op.payload);
+      }
+    }
+    ADD_FAILURE() << "the tiny kernel has no adder op";
+    return ws.adder_lanes.at(0);
+  };
   {
     CanonicalCapture m = good;
-    ASSERT_FALSE(m.blocks.at(0).warps.at(0).adder_lanes.empty());
-    m.blocks.at(0).warps.at(0).adder_lanes.at(0).num_slices = 0;
-    expect_reject(std::move(m), "zero slice count");
+    first_adder(m).relevant[0] = 0x05;  // not a low mask
+    expect_reject(std::move(m), "relevant byte is no relevant_mask(n)");
+  }
+  {
+    CanonicalCapture m = good;
+    spec::WarpLanes& lanes = first_adder(m);
+    lanes.relevant[0] = 0x07;
+    lanes.actual[0] = 0x08;  // a carry above the add's slices
+    expect_reject(std::move(m), "actual outside relevant");
+  }
+  {
+    CanonicalCapture m = good;
+    spec::WarpLanes& lanes = first_adder(m);
+    lanes.peek_mask[0] = 0x01;
+    lanes.peek_carries[0] = 0x02;  // a certain carry Peek did not fix
+    expect_reject(std::move(m), "peek carries outside the peek mask");
+  }
+  {
+    CanonicalCapture m = good;
+    sim::WarpStream& ws = m.blocks.at(0).warps.at(0);
+    for (sim::TraceOp& op : ws.ops) {
+      if (op.has_adder() && !(op.is_mem() && !op.is_shared())) {
+        op.active_mask &= ~1u;  // lane 0's bytes now belong to no lane
+        ASSERT_NE(op.active_mask, 0u);
+        ASSERT_NE(ws.adder_lanes.at(op.payload).relevant[0], 0);
+        break;
+      }
+    }
+    expect_reject(std::move(m), "non-zero byte of an inactive lane");
+  }
+  {
+    CanonicalCapture m = good;
+    sim::WarpStream& ws = m.blocks.at(0).warps.at(0);
+    for (sim::TraceOp& op : ws.ops) {
+      if (op.has_adder() && !(op.is_mem() && !op.is_shared())) {
+        op.payload = static_cast<std::uint32_t>(ws.adder_lanes.size());
+        break;
+      }
+    }
+    expect_reject(std::move(m), "adder payload one past the pool");
   }
   {
     CanonicalCapture m = good;
