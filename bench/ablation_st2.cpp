@@ -72,17 +72,6 @@ class FourBitSpeculator {
 
 }  // namespace
 
-// Shardable (BENCH_SHARD=i/n) over a global unit space covering all four
-// emitted tables, so one binary invocation is one shard of the whole
-// ablation suite:
-//   units 0..7   Table A rows (A1 k=1..6, A2, A3)     -> ablation_policy
-//   units 8..9   Table B rows (8-bit ideal, 4-bit)    -> ablation_slice_width
-//   units 10..11 Table C rows (ideal, CRF timing)     -> ablation_crf
-//   units 12..13 Table D rows (GTO, LRR)              -> ablation_scheduler
-// A shard feeds only the harnesses its rows need (plus the k=4 reference
-// that every Table A delta compares against); each harness still sees the
-// full record stream in serial order, so rows are byte-identical to a
-// serial run's.
 int main() {
   const double scale =
       std::min(bench::bench_scale(), 0.35);  // ablations sweep many configs
@@ -113,128 +102,74 @@ int main() {
     labels.push_back("A3: write every add (vs on-mispredict)");
   }
 
-  // Which global units does this shard own?
-  std::vector<int> owned_a;
-  for (int u = 0; u <= 7; ++u) {
-    if (bench::shard_owns(u)) owned_a.push_back(u);
-  }
-  const bool own_b_ideal = bench::shard_owns(8);
-  const bool own_b_four = bench::shard_owns(9);
-  const bool own_c_ideal = bench::shard_owns(10);
-  const bool own_c_crf = bench::shard_owns(11);
-  const bool need_ideal = own_b_ideal || own_c_ideal;
-  constexpr std::size_t kFinalIdx = 3;  // k=4, the Table A delta reference
-  std::vector<char> need_cfg(cfgs.size(), 0);
-  for (const int u : owned_a) need_cfg[static_cast<std::size_t>(u)] = 1;
-  if (!owned_a.empty()) need_cfg[kFinalIdx] = 1;
-  const bool need_pass = !owned_a.empty() || need_ideal || own_b_four;
-
   std::vector<double> sums(cfgs.size(), 0.0);
   double fourbit_sum = 0.0;
   double st2_crf_sum = 0.0;
   double st2_ideal_sum = 0.0;
   int n = 0;
 
-  if (need_pass || own_c_crf) {
-    for (const auto& info : workloads::case_list()) {
-      if (need_pass) {
-        workloads::PreparedCase pc =
-            workloads::prepare_case(info.name, scale);
-        std::vector<std::size_t> idx;
-        std::vector<sim::SpeculationHarness> hs;
-        for (std::size_t i = 0; i < cfgs.size(); ++i) {
-          if (!need_cfg[i]) continue;
-          idx.push_back(i);
-          hs.emplace_back(cfgs[i]);
-        }
-        sim::SpeculationHarness ideal(spec::st2_config());
-        FourBitSpeculator fourbit;
-        auto obs = [&](const sim::ExecRecord& rec) {
-          for (auto& h : hs) h.feed(rec);
-          if (need_ideal) ideal.feed(rec);
-          if (own_b_four) fourbit.feed(rec);
-        };
-        for (const auto& lc : pc.launches) {
-          // The same pass that feeds the speculation harnesses also records
-          // the capture ablation C's timing run consumes below.
-          bench::trace_pass(pc.kernel, lc, *pc.mem, obs,
-                            /*store_capture=*/true);
-        }
-        for (std::size_t j = 0; j < hs.size(); ++j) {
-          sums[idx[j]] += hs[j].op_misprediction_rate();
-        }
-        fourbit_sum += fourbit.rate();
-        st2_ideal_sum += ideal.op_misprediction_rate();
-      }
-
-      if (own_c_crf) {
-        // C: the CRF realization under the timing simulator.
-        bench::heartbeat();
-        sim::GpuConfig cfg = sim::GpuConfig::st2();
-        cfg.num_sms = 8;
-        st2_crf_sum +=
-            bench::run_kernel(info.name, scale, {cfg, bench::engine_options()})
-                .counters.adder_misprediction_rate();
-      }
-      ++n;
+  for (const auto& info : workloads::case_list()) {
+    workloads::PreparedCase pc = workloads::prepare_case(info.name, scale);
+    std::vector<sim::SpeculationHarness> hs(cfgs.begin(), cfgs.end());
+    sim::SpeculationHarness ideal(spec::st2_config());
+    FourBitSpeculator fourbit;
+    auto obs = [&](const sim::ExecRecord& rec) {
+      for (auto& h : hs) h.feed(rec);
+      ideal.feed(rec);
+      fourbit.feed(rec);
+    };
+    for (const auto& lc : pc.launches) {
+      // The same pass that feeds the speculation harnesses also records
+      // the capture ablation C's timing run consumes below.
+      bench::trace_pass(pc.kernel, lc, *pc.mem, obs, /*store_capture=*/true);
     }
+    for (std::size_t i = 0; i < hs.size(); ++i) {
+      sums[i] += hs[i].op_misprediction_rate();
+    }
+    fourbit_sum += fourbit.rate();
+    st2_ideal_sum += ideal.op_misprediction_rate();
+
+    // C: the CRF realization under the timing simulator.
+    sim::GpuConfig cfg = sim::GpuConfig::st2();
+    cfg.num_sms = 8;
+    st2_crf_sum += bench::run_kernel(info.name, scale, cfg)
+                       .counters.adder_misprediction_rate();
+    ++n;
   }
 
   Table a("Ablation A: speculation-policy knobs (avg thread mispred, 23 kernels)");
   a.header({"variant", "mispred", "delta vs final"});
-  if (!owned_a.empty()) {
-    const double final_rate = sums[kFinalIdx] / n;  // k=4 row
-    for (const int u : owned_a) {
-      const std::size_t i = static_cast<std::size_t>(u);
-      const double r = sums[i] / n;
-      a.row({labels[i], Table::pct(r),
-             (r >= final_rate ? "+" : "-") +
-                 Table::pct(std::abs(r - final_rate))});
-    }
+  const double final_rate = sums[3] / n;  // k=4, the final design
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    const double r = sums[i] / n;
+    a.row({labels[i], Table::pct(r),
+           (r >= final_rate ? "+" : "-") +
+               Table::pct(std::abs(r - final_rate))});
   }
-  bench::emit_sharded(a, "ablation_policy", owned_a,
-                      static_cast<int>(cfgs.size()));
+  bench::emit(a, "ablation_policy");
 
   Table b("Ablation B: slice width vs speculation difficulty");
   b.header({"slice width", "carries per 64-bit add", "avg thread mispred"});
-  std::vector<int> units_b;
-  if (own_b_ideal) {
-    b.row({"8-bit (paper's choice)", "7", Table::pct(st2_ideal_sum / n)});
-    units_b.push_back(8);
-  }
-  if (own_b_four) {
-    b.row({"4-bit", "15", Table::pct(fourbit_sum / n)});
-    units_b.push_back(9);
-  }
-  bench::emit_sharded(b, "ablation_slice_width", units_b, 2);
-  if (own_b_four) {
-    std::cout << "4-bit slices reach similar raw datapath energy (tabB) but "
-                 "mispredict more, and each misprediction\nstill costs a "
-                 "recovery cycle — the accuracy side of the paper's 8-bit "
-                 "decision.\n\n";
-  }
+  b.row({"8-bit (paper's choice)", "7", Table::pct(st2_ideal_sum / n)});
+  b.row({"4-bit", "15", Table::pct(fourbit_sum / n)});
+  bench::emit(b, "ablation_slice_width");
+  std::cout << "4-bit slices reach similar raw datapath energy (tabB) but "
+               "mispredict more, and each misprediction\nstill costs a "
+               "recovery cycle — the accuracy side of the paper's 8-bit "
+               "decision.\n\n";
 
   Table c("Ablation C: hardware CRF vs idealized speculator");
   c.header({"realization", "avg thread mispred"});
-  std::vector<int> units_c;
-  if (own_c_ideal) {
-    c.row({"idealized (no contention, device-wide)",
-           Table::pct(st2_ideal_sum / n)});
-    units_c.push_back(10);
-  }
-  if (own_c_crf) {
-    c.row({"CRF per SM + random write arbitration",
-           Table::pct(st2_crf_sum / n)});
-    units_c.push_back(11);
-  }
-  bench::emit_sharded(c, "ablation_crf", units_c, 2);
-  if (own_c_ideal && own_c_crf) {
-    std::cout << "SM partitioning, write-back training lag, and dropped "
-                 "conflicting write-backs together cost "
-              << Table::pct(st2_crf_sum / n - st2_ideal_sum / n)
-              << " of accuracy — random arbitration suffices, as the paper "
-                 "argues.\n\n";
-  }
+  c.row({"idealized (no contention, device-wide)",
+         Table::pct(st2_ideal_sum / n)});
+  c.row({"CRF per SM + random write arbitration",
+         Table::pct(st2_crf_sum / n)});
+  bench::emit(c, "ablation_crf");
+  std::cout << "SM partitioning, write-back training lag, and dropped "
+               "conflicting write-backs together cost "
+            << Table::pct(st2_crf_sum / n - st2_ideal_sum / n)
+            << " of accuracy — random arbitration suffices, as the paper "
+               "argues.\n\n";
 
   // --- D: warp-scheduler sensitivity -----------------------------------------
   // The ST2 slowdown claim should not hinge on the scheduling policy: the +1
@@ -242,23 +177,18 @@ int main() {
   {
     Table d("Ablation D: ST2 slowdown under different warp schedulers");
     d.header({"scheduler", "avg slowdown", "avg mispred"});
-    std::vector<int> units_d;
     for (const auto sched :
          {sim::WarpScheduler::kGto, sim::WarpScheduler::kLrr}) {
-      const int unit = sched == sim::WarpScheduler::kGto ? 12 : 13;
-      if (!bench::shard_owns(unit)) continue;
       double slow_sum = 0, mp_sum = 0;
       int k = 0;
       for (const char* name :
            {"sad_K1", "kmeans_K1", "pathfinder", "sortNets_K1", "histo_K1"}) {
-        bench::heartbeat();
         auto measure = [&](bool st2_on) {
           sim::GpuConfig cfg =
               st2_on ? sim::GpuConfig::st2() : sim::GpuConfig::baseline();
           cfg.scheduler = sched;
           cfg.num_sms = 8;
-          const auto res =
-              bench::run_kernel(name, scale, {cfg, bench::engine_options()});
+          const auto res = bench::run_kernel(name, scale, cfg);
           return std::pair<std::uint64_t, double>(
               res.cycles, res.counters.adder_misprediction_rate());
         };
@@ -271,9 +201,8 @@ int main() {
       d.row({sched == sim::WarpScheduler::kGto ? "GTO (greedy-then-oldest)"
                                                : "LRR (loose round-robin)",
              Table::pct(slow_sum / k), Table::pct(mp_sum / k)});
-      units_d.push_back(unit);
     }
-    bench::emit_sharded(d, "ablation_scheduler", units_d, 2);
+    bench::emit(d, "ablation_scheduler");
   }
   return 0;
 }

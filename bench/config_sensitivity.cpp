@@ -29,14 +29,11 @@ Outcome measure(const sim::GpuConfig& proto, double scale) {
   double save_sum = 0, slow_sum = 0;
   std::uint64_t cycles_sum = 0;
   for (const char* name : kKernels) {
-    bench::heartbeat();
     sim::GpuConfig base_cfg = proto, st2_cfg = proto;
     base_cfg.st2_enabled = false;
     st2_cfg.st2_enabled = true;
-    const run::CaseResult base =
-        bench::run_kernel(name, scale, {base_cfg, bench::engine_options()});
-    const run::CaseResult st2_run =
-        bench::run_kernel(name, scale, {st2_cfg, bench::engine_options()});
+    const run::CaseResult base = bench::run_kernel(name, scale, base_cfg);
+    const run::CaseResult st2_run = bench::run_kernel(name, scale, st2_cfg);
     sim::EventCounters cb = base.counters, cs = st2_run.counters;
     cb.cycles = base.cycles;
     cs.cycles = st2_run.cycles;
@@ -57,8 +54,8 @@ int main() {
   Table t("ST2 robustness across machine configurations (5-kernel subset)");
   t.header({"configuration", "baseline cycles", "chip save", "slowdown"});
 
-  // Shardable (BENCH_SHARD=i/n): each table row is one independent work
-  // unit — a full measure() over the kernel subset under one machine config.
+  // Each table row is a full measure() over the kernel subset under one
+  // machine config.
   std::vector<std::pair<std::string, sim::GpuConfig>> points;
   {
     sim::GpuConfig c;
@@ -85,16 +82,12 @@ int main() {
     points.emplace_back("LRR scheduler", c);
   }
 
-  std::vector<int> units;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (!bench::shard_owns(static_cast<int>(i))) continue;
-    const Outcome o = measure(points[i].second, scale);
-    t.row({points[i].first, std::to_string(o.base_cycles),
-           Table::pct(o.chip_save), Table::pct(o.slowdown)});
-    units.push_back(static_cast<int>(i));
+  for (const auto& [label, cfg] : points) {
+    const Outcome o = measure(cfg, scale);
+    t.row({label, std::to_string(o.base_cycles), Table::pct(o.chip_save),
+           Table::pct(o.slowdown)});
   }
-  bench::emit_sharded(t, "config_sensitivity", units,
-                      static_cast<int>(points.size()));
+  bench::emit(t, "config_sensitivity");
   std::cout << "Chip-energy saving is a property of the adder traffic and "
                "stays nearly flat across machines;\nruntime and the (small) "
                "slowdown move with configuration, as expected.\n";

@@ -32,13 +32,11 @@ struct RunResult {
 
 RunResult simulate(const std::string& kernel, double scale,
                    const fault::FaultConfig& inject) {
-  bench::heartbeat();
   sim::GpuConfig cfg = sim::GpuConfig::st2();
   cfg.inject = inject;
   // The fault config only perturbs replay, never the captured streams, so
   // all 5 rates of a kernel replay one cached capture.
-  const run::CaseResult res =
-      bench::run_kernel(kernel, scale, {cfg, bench::engine_options()});
+  const run::CaseResult res = bench::run_kernel(kernel, scale, cfg);
   const sim::EventCounters& c = res.counters;
   RunResult r;
   r.cycles = res.cycles;
@@ -66,12 +64,9 @@ int main() {
   Table t("fault sensitivity, ST2 machine (crf+hist+detect at equal rates)");
   t.header({"kernel", "rate", "faults", "extra repairs", "cycle overhead",
             "energy overhead", "valid"});
-  // Shardable (BENCH_SHARD=i/n): the work unit is one kernel — its fault-
-  // free reference run plus the four rate rows derived from it.
-  std::vector<int> units;
-  for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
-    if (!bench::shard_owns(static_cast<int>(ki))) continue;
-    const std::string& k = kernels[ki];
+  // Per kernel: its fault-free reference run, then the four rate rows
+  // derived from it.
+  for (const std::string& k : kernels) {
     const RunResult clean = simulate(k, scale, fault::FaultConfig{});
     for (const double rate : rates) {
       fault::FaultConfig inject;
@@ -84,10 +79,8 @@ int main() {
              Table::pct(rel(double(r.cycles), double(clean.cycles))),
              Table::pct(rel(r.energy, clean.energy)),
              r.valid ? "ok" : "FAIL"});
-      units.push_back(static_cast<int>(ki));
     }
   }
-  bench::emit_sharded(t, "fault_sensitivity", units,
-                      static_cast<int>(kernels.size() * rates.size()));
+  bench::emit(t, "fault_sensitivity");
   return 0;
 }

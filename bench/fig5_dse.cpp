@@ -2,14 +2,6 @@
 // average per-thread misprediction rate of every configuration on the
 // paper's x-axis, plus the derived reduction-vs-VaLHALLA percentages quoted
 // in Section IV-B.
-//
-// Shardable (BENCH_SHARD=i/n): the work unit is one swept configuration.
-// Every shard runs the same single trace pass over all workloads but feeds
-// only the harnesses of the configurations it owns — plus the VaLHALLA
-// no-peek reference, which every row's "vs VaLHALLA" column needs. Each
-// harness sees the identical record stream in the identical order as a
-// serial run, so the rows a shard emits are byte-identical to the serial
-// table's.
 #include <array>
 #include <cstddef>
 #include <iostream>
@@ -37,46 +29,27 @@ int main() {
     }
   }
 
-  std::vector<int> owned;
-  for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    if (bench::shard_owns(static_cast<int>(i))) {
-      owned.push_back(static_cast<int>(i));
-    }
-  }
-  std::vector<char> needed(cfgs.size(), 0);
-  for (const int i : owned) needed[static_cast<std::size_t>(i)] = 1;
-  if (!owned.empty() && valhalla_idx < cfgs.size()) {
-    needed[valhalla_idx] = 1;
-  }
-
   std::vector<double> sums(cfgs.size(), 0.0);
   int n = 0;
-  if (!owned.empty()) {
-    for (const auto& info : workloads::case_list()) {
-      workloads::PreparedCase pc = workloads::prepare_case(info.name, scale);
-      // One harness per needed config; each sees the full record stream, so
-      // its accumulated rate is independent of which other configs ran.
-      std::vector<std::size_t> idx;
-      std::vector<sim::SpeculationHarness> hs;
-      for (std::size_t i = 0; i < cfgs.size(); ++i) {
-        if (!needed[i]) continue;
-        idx.push_back(i);
-        hs.emplace_back(cfgs[i]);
-      }
-      auto obs = [&](const sim::ExecRecord& rec) {
-        for (auto& h : hs) h.feed(rec);
-      };
-      for (const auto& lc : pc.launches) {
-        // No timing consumer in this binary: the pass only records a capture
-        // when BENCH_TRACE_CACHE names a disk tier other binaries can reuse.
-        bench::trace_pass(pc.kernel, lc, *pc.mem, obs,
-                          /*store_capture=*/false);
-      }
-      for (std::size_t j = 0; j < hs.size(); ++j) {
-        sums[idx[j]] += hs[j].op_misprediction_rate();
-      }
-      ++n;
+  for (const auto& info : workloads::case_list()) {
+    workloads::PreparedCase pc = workloads::prepare_case(info.name, scale);
+    // One harness per config; each sees the full record stream, so its
+    // accumulated rate is independent of the other configs.
+    std::vector<sim::SpeculationHarness> hs(cfgs.begin(), cfgs.end());
+    auto obs = [&](const sim::ExecRecord& rec) {
+      for (auto& h : hs) h.feed(rec);
+    };
+    for (const auto& lc : pc.launches) {
+      // Storing here would hold every kernel's capture in memory at once
+      // (the zoo below captures one kernel at a time), so the pass records
+      // one only for a disk tier.
+      bench::trace_pass(pc.kernel, lc, *pc.mem, obs,
+                        /*store_capture=*/false);
     }
+    for (std::size_t i = 0; i < hs.size(); ++i) {
+      sums[i] += hs[i].op_misprediction_rate();
+    }
+    ++n;
   }
 
   const double valhalla_rate =
@@ -85,8 +58,7 @@ int main() {
   Table t("Figure 5: carry-speculation design-space exploration");
   t.header({"configuration", "avg thread mispred", "vs VaLHALLA",
             "HW table B/SM"});
-  for (const int oi : owned) {
-    const std::size_t i = static_cast<std::size_t>(oi);
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
     const double rate = sums[i] / n;
     const double delta = valhalla_rate > 0 ? (rate / valhalla_rate - 1.0) : 0;
     const long long bytes = cfgs[i].table_bytes_per_sm();
@@ -104,18 +76,14 @@ int main() {
     t.row({cfgs[i].name(), Table::pct(rate),
            (delta <= 0 ? "-" : "+") + Table::pct(std::abs(delta)), cost});
   }
-  bench::emit_sharded(t, "fig5_dse", owned,
-                      static_cast<int>(cfgs.size()));
+  bench::emit(t, "fig5_dse");
 
   // ---- Figure 5b: the pluggable predictor zoo ----------------------------
-  // A second table under its own stem ("fig5_zoo") and its own work-unit
-  // enumeration. Units 0..3 are the registered carry-predictor policies run
-  // end to end through the timing simulator; units 4..5 are register-file
-  // energy levers from the literature stacked on the default-CRF run
-  // (GREENER-style RF underutilization gating and static RF data
-  // compression). Every shard that owns a zoo unit recomputes the baseline
-  // timing reference itself — the runs are deterministic, so the rows are
-  // byte-identical to a serial run's regardless of sharding.
+  // A second table under its own stem ("fig5_zoo"). Rows 0..3 are the
+  // registered carry-predictor policies run end to end through the timing
+  // simulator; rows 4..5 are register-file energy levers from the
+  // literature stacked on the default-CRF run (GREENER-style RF
+  // underutilization gating and static RF data compression).
   struct ZooUnit {
     const char* label;
     const char* policy;  ///< PredictorConfig::parse spec; "" = CRF RF lever
@@ -126,94 +94,76 @@ int main() {
                                        {"static", "static"},
                                        {"greener-rf", ""},
                                        {"rf-compress", ""}}};
-  std::vector<int> zoo_owned;
-  for (std::size_t i = 0; i < zoo.size(); ++i) {
-    if (bench::shard_owns(static_cast<int>(i))) {
-      zoo_owned.push_back(static_cast<int>(i));
-    }
-  }
-  // The lever rows derive from the default-CRF run, so owning unit 4 or 5
-  // requires the policy run of unit 0 even when unit 0 itself is unowned.
-  std::array<bool, 4> need_policy{};
-  for (const int u : zoo_owned) need_policy[u <= 3 ? u : 0] = true;
-
   const power::PowerModel pm;
   struct ZooAgg {
     double mis = 0, slow = 0, sys = 0, chip = 0;
   };
   std::array<ZooAgg, 6> agg{};
   int zn = 0;
-  if (!zoo_owned.empty()) {
-    for (const auto& info : workloads::case_list()) {
-      // Baseline reference for this workload (fig7_energy's pattern).
-      bench::heartbeat();
-      const run::CaseResult base =
-          bench::run_kernel(info.name, scale, {sim::GpuConfig::baseline()});
-      sim::EventCounters cb = base.counters;
-      cb.cycles = base.cycles;
-      const power::EnergyBreakdown eb = pm.energy(cb, /*st2=*/false);
+  for (const auto& info : workloads::case_list()) {
+    // Baseline reference for this workload (fig7_energy's pattern).
+    const run::CaseResult base =
+        bench::run_kernel(info.name, scale, sim::GpuConfig::baseline());
+    sim::EventCounters cb = base.counters;
+    cb.cycles = base.cycles;
+    const power::EnergyBreakdown eb = pm.energy(cb, /*st2=*/false);
 
-      for (int p = 0; p < 4; ++p) {
-        if (!need_policy[static_cast<std::size_t>(p)]) continue;
-        bench::heartbeat();
-        sim::GpuConfig cfg = sim::GpuConfig::st2();
-        cfg.predictor = spec::PredictorConfig::parse(zoo[p].policy);
-        const run::CaseResult st2_run =
-            bench::run_kernel(info.name, scale, {cfg});
-        sim::EventCounters cs = st2_run.counters;
-        cs.cycles = st2_run.cycles;
-        power::EnergyBreakdown es = pm.energy(cs, /*st2=*/true);
-        // First-order storage model: the per-read table energy tracks the
-        // policy's state size relative to the CRF's 448 B/SM, on top of the
-        // fitted crf_row_read coefficient.
-        const double bytes =
-            static_cast<double>(cfg.predictor.table_bytes_per_sm());
-        es[power::Component::kOthers] +=
-            (bytes / 448.0 - 1.0) * pm.coefficients().crf_row_read *
-            static_cast<double>(cs.crf_row_reads);
-        const double mis = cs.adder_misprediction_rate();
-        const double slow = static_cast<double>(st2_run.cycles) /
-                                static_cast<double>(base.cycles) -
-                            1.0;
-        agg[p].mis += mis;
-        agg[p].slow += slow;
-        agg[p].sys += 1.0 - es.total() / eb.total();
-        agg[p].chip += 1.0 - es.chip() / eb.chip();
-        if (p == 0) {
-          // GREENER (Jatala et al.): gate RF energy of inactive SIMD lanes,
-          // modeled as RegFile scaled by the run's SIMD lane occupancy.
-          // Angerd et al.: static RF data compression, ~30% RF energy off.
-          const power::EnergyBreakdown eg =
-              power::with_regfile_scale(es, cs.simd_efficiency());
-          const power::EnergyBreakdown ec =
-              power::with_regfile_scale(es, 0.70);
-          for (const int u : {4, 5}) {
-            agg[u].mis += mis;
-            agg[u].slow += slow;
-          }
-          agg[4].sys += 1.0 - eg.total() / eb.total();
-          agg[4].chip += 1.0 - eg.chip() / eb.chip();
-          agg[5].sys += 1.0 - ec.total() / eb.total();
-          agg[5].chip += 1.0 - ec.chip() / eb.chip();
+    for (int p = 0; p < 4; ++p) {
+      sim::GpuConfig cfg = sim::GpuConfig::st2();
+      cfg.predictor = spec::PredictorConfig::parse(zoo[p].policy);
+      const run::CaseResult st2_run = bench::run_kernel(info.name, scale, cfg);
+      sim::EventCounters cs = st2_run.counters;
+      cs.cycles = st2_run.cycles;
+      power::EnergyBreakdown es = pm.energy(cs, /*st2=*/true);
+      // First-order storage model: the per-read table energy tracks the
+      // policy's state size relative to the CRF's 448 B/SM, on top of the
+      // fitted crf_row_read coefficient.
+      const double bytes =
+          static_cast<double>(cfg.predictor.table_bytes_per_sm());
+      es[power::Component::kOthers] +=
+          (bytes / 448.0 - 1.0) * pm.coefficients().crf_row_read *
+          static_cast<double>(cs.crf_row_reads);
+      const double mis = cs.adder_misprediction_rate();
+      const double slow = static_cast<double>(st2_run.cycles) /
+                              static_cast<double>(base.cycles) -
+                          1.0;
+      agg[p].mis += mis;
+      agg[p].slow += slow;
+      agg[p].sys += 1.0 - es.total() / eb.total();
+      agg[p].chip += 1.0 - es.chip() / eb.chip();
+      if (p == 0) {
+        // GREENER (Jatala et al.): gate RF energy of inactive SIMD lanes,
+        // modeled as RegFile scaled by the run's SIMD lane occupancy.
+        // Angerd et al.: static RF data compression, ~30% RF energy off.
+        const power::EnergyBreakdown eg =
+            power::with_regfile_scale(es, cs.simd_efficiency());
+        const power::EnergyBreakdown ec =
+            power::with_regfile_scale(es, 0.70);
+        for (const int u : {4, 5}) {
+          agg[u].mis += mis;
+          agg[u].slow += slow;
         }
+        agg[4].sys += 1.0 - eg.total() / eb.total();
+        agg[4].chip += 1.0 - eg.chip() / eb.chip();
+        agg[5].sys += 1.0 - ec.total() / eb.total();
+        agg[5].chip += 1.0 - ec.chip() / eb.chip();
       }
-      ++zn;
     }
+    ++zn;
   }
 
   Table zt("Figure 5b: predictor zoo — mispredict/energy/slowdown front");
   zt.header({"policy", "avg thread mispred", "avg slowdown", "system save",
              "chip save", "table B/SM"});
-  for (const int u : zoo_owned) {
-    const ZooAgg& a = agg[static_cast<std::size_t>(u)];
+  for (std::size_t u = 0; u < zoo.size(); ++u) {
+    const ZooAgg& a = agg[u];
     const spec::PredictorConfig pcfg =
         spec::PredictorConfig::parse(u <= 3 ? zoo[u].policy : "crf");
     zt.row({zoo[u].label, Table::pct(a.mis / zn), Table::pct(a.slow / zn),
             Table::pct(a.sys / zn), Table::pct(a.chip / zn),
             std::to_string(pcfg.table_bytes_per_sm())});
   }
-  bench::emit_sharded(zt, "fig5_zoo", zoo_owned,
-                      static_cast<int>(zoo.size()));
+  bench::emit(zt, "fig5_zoo");
 
   std::cout
       << "Paper (Section IV-B): Peek -18% vs VaLHALLA; Prev+Peek -26%;\n"

@@ -21,7 +21,7 @@ int main() {
   int n = 0;
   for (const auto& info : workloads::case_list()) {
     const sim::EventCounters c =
-        bench::run_kernel(info.name, scale, {sim::GpuConfig::st2()}).counters;
+        bench::run_kernel(info.name, scale, sim::GpuConfig::st2()).counters;
     const double rate = c.adder_misprediction_rate();
     const double rps = c.slices_recomputed_per_misprediction();
     sum_rate += rate;

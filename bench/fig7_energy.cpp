@@ -30,9 +30,9 @@ int main() {
   int n = 0, hi_n = 0;
   for (const auto& info : workloads::case_list()) {
     const run::CaseResult base =
-        bench::run_kernel(info.name, scale, {sim::GpuConfig::baseline()});
+        bench::run_kernel(info.name, scale, sim::GpuConfig::baseline());
     const run::CaseResult st2_run =
-        bench::run_kernel(info.name, scale, {sim::GpuConfig::st2()});
+        bench::run_kernel(info.name, scale, sim::GpuConfig::st2());
     sim::EventCounters cb = base.counters, cs = st2_run.counters;
     cb.cycles = base.cycles;
     cs.cycles = st2_run.cycles;

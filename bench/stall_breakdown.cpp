@@ -37,7 +37,7 @@ int main() {
   int n = 0;
   for (const auto& info : workloads::case_list()) {
     const sim::GpuConfig cfg = sim::GpuConfig::st2();
-    const run::CaseResult res = bench::run_kernel(info.name, scale, {cfg});
+    const run::CaseResult res = bench::run_kernel(info.name, scale, cfg);
     const sim::EventCounters& c = res.counters;
     const std::uint64_t cycles = res.cycles;
     // Denominator: scheduler-cycles of the SMs that had work (idle SMs never

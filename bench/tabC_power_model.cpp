@@ -42,7 +42,7 @@ int main() {
   // Validation set: the 23 evaluation kernels (never seen in training).
   std::vector<power::Observation> held_out;
   for (const auto& info : workloads::case_list()) {
-    const run::CaseResult res = bench::run_kernel(info.name, scale, {cfg});
+    const run::CaseResult res = bench::run_kernel(info.name, scale, cfg);
     const std::uint64_t cycles = res.cycles;
     sim::EventCounters c = res.counters;
     c.cycles = cycles;

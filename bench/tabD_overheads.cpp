@@ -69,7 +69,7 @@ int main() {
   int n = 0;
   for (const auto& info : workloads::case_list()) {
     const sim::EventCounters cnt =
-        bench::run_kernel(info.name, scale, {sim::GpuConfig::st2()}).counters;
+        bench::run_kernel(info.name, scale, sim::GpuConfig::st2()).counters;
     const double rate =
         cnt.crf_writes ? double(cnt.crf_write_conflicts) / cnt.crf_writes
                        : 0.0;

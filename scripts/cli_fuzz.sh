@@ -32,6 +32,8 @@ expect_code 2 run
 expect_code 2 run no_such_kernel
 expect_code 2 run pathfinder --no-such-flag
 expect_code 2 run pathfinder extra_positional_junk
+# the sharded sweep orchestrator is gone: `sweep` is an unknown command
+expect_code 2 sweep --spec s.json --out d
 
 # --- numeric options: junk, trailing garbage, out-of-range, non-finite -----
 expect_code 2 run pathfinder --scale

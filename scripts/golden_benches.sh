@@ -25,7 +25,7 @@ BENCH_DIR=${1:?$usage}
 ST2SIM=${2:?$usage}
 GOLDEN=${3:?$usage}
 WORK=${4:-$(mktemp -d /tmp/st2_golden_benches.XXXXXX)}
-unset BENCH_SHARD BENCH_SHARD_OUT BENCH_HEARTBEAT BENCH_TRACE_CACHE
+unset BENCH_TRACE_CACHE
 export BENCH_SCALE=0.1
 # Stale outputs of an earlier run in WORKDIR must not mask a missing CSV.
 rm -rf "$WORK/out" "$WORK"/run_*

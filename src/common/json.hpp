@@ -1,5 +1,5 @@
-// JSON string escaping shared by every writer of JSON text: run reports,
-// serve envelopes and sweep journals.
+// JSON string escaping shared by every writer of JSON text: run reports
+// and serve envelopes.
 #pragma once
 
 #include <string>

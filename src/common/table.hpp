@@ -31,10 +31,6 @@ class Table {
   const std::vector<std::vector<std::string>>& raw_rows() const {
     return rows_;
   }
-  /// Raw header cells, for shard-fragment emission (bench/bench_util.hpp):
-  /// every shard of a sweep bench records the header so the merger can prove
-  /// the fragments belong to the same table shape.
-  const std::vector<std::string>& raw_header() const { return header_; }
 
  private:
   std::string title_;

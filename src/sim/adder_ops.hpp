@@ -21,6 +21,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <utility>
 
@@ -35,6 +36,22 @@ struct AdderMicroOp {
   bool cin = false;
   int num_slices = 8;
 };
+
+/// `r`, the result of an FP operation on `ops` (in source order), under the
+/// simulator's one NaN rule: a NaN result carries the first NaN operand's
+/// payload, quieted (the x86 SSE rule); a NaN made from non-NaN operands
+/// (inf - inf, 0 * inf) stays as computed. Left to plain arithmetic, the
+/// payload of NaN op NaN depends on the operand order the compiler happens
+/// to emit. The check runs after the arithmetic, so a non-NaN result costs
+/// one compare.
+template <typename F, typename... Ops>
+inline F propagate_nan(F r, Ops... ops) {
+  if (!std::isnan(r)) [[likely]] return r;
+  for (const F x : {ops...}) {
+    if (std::isnan(x)) return x + x;
+  }
+  return r;
+}
 
 namespace adder_detail {
 
@@ -85,19 +102,6 @@ inline AdderMicroOp mantissa_op(FpParts x, FpParts y, int num_slices) {
     op.cin = true;
   }
   return op;
-}
-
-/// x * y, where a NaN product carries the first NaN operand's payload,
-/// quieted (the x86 SSE rule). Left to a plain multiply, the payload of
-/// NaN * NaN depends on the operand order the compiler happens to emit, so
-/// the same FMA sources could map to two different mantissa adds.
-template <typename F>
-inline F product(F x, F y) {
-  const F p = x * y;
-  if (!std::isnan(p)) return p;
-  if (std::isnan(x)) return x + x;
-  if (std::isnan(y)) return y + y;
-  return p;
 }
 
 inline float as_f32(std::uint64_t raw) {
@@ -173,16 +177,16 @@ inline AdderMicroOp adder_operands(std::uint64_t s1, std::uint64_t s2,
     return fp32_mantissa_op(as_f32(s1), as_f32(s2));
   } else if constexpr (Op == Opcode::kFFma) {
     // The FMA's final addition: product significand + addend.
-    return fp32_mantissa_op(adder_detail::product(as_f32(s1), as_f32(s2)),
-                            as_f32(s3));
+    const float x = as_f32(s1), y = as_f32(s2);
+    return fp32_mantissa_op(propagate_nan(x * y, x, y), as_f32(s3));
   } else if constexpr (adder_slices(Op) == 3) {
     // Subtract, min/max and compares: an effective mantissa subtraction.
     return fp32_mantissa_op(as_f32(s1), -as_f32(s2));
   } else if constexpr (Op == Opcode::kDAdd) {
     return fp64_mantissa_op(as_f64(s1), as_f64(s2));
   } else if constexpr (Op == Opcode::kDFma) {
-    return fp64_mantissa_op(adder_detail::product(as_f64(s1), as_f64(s2)),
-                            as_f64(s3));
+    const double x = as_f64(s1), y = as_f64(s2);
+    return fp64_mantissa_op(propagate_nan(x * y, x, y), as_f64(s3));
   } else {
     return fp64_mantissa_op(as_f64(s1), -as_f64(s2));
   }

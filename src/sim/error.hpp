@@ -21,7 +21,6 @@ enum class SimErrorKind {
   kIo,                 ///< report/timeline/snapshot file could not be written
   kSnapshotInvalid,    ///< snapshot rejected: corrupt, truncated or mismatched
   kBusy,               ///< serve mode: admission queue full, request rejected
-  kShardFailed,        ///< sweep mode: shard(s) quarantined after max retries
 };
 
 /// st2sim exit codes (see docs/robustness.md for the full table). 0 = clean
@@ -37,7 +36,7 @@ inline constexpr int kExitSelfCheckFailed = 6;
 inline constexpr int kExitIo = 7;
 inline constexpr int kExitSnapshotInvalid = 8;
 inline constexpr int kExitBusy = 9;  ///< serve-mode admission rejection
-inline constexpr int kExitShardFailed = 10;  ///< sweep partial success
+// 10 is reserved (formerly shard-failed) and is not reused.
 inline constexpr int kExitInterrupted = 130;  ///< 128 + SIGINT, by convention
 
 constexpr const char* to_string(SimErrorKind k) {
@@ -49,7 +48,6 @@ constexpr const char* to_string(SimErrorKind k) {
     case SimErrorKind::kIo: return "io-error";
     case SimErrorKind::kSnapshotInvalid: return "snapshot-invalid";
     case SimErrorKind::kBusy: return "busy";
-    case SimErrorKind::kShardFailed: return "shard-failed";
   }
   return "unknown";
 }
@@ -63,7 +61,6 @@ constexpr int exit_code(SimErrorKind k) {
     case SimErrorKind::kIo: return kExitIo;
     case SimErrorKind::kSnapshotInvalid: return kExitSnapshotInvalid;
     case SimErrorKind::kBusy: return kExitBusy;
-    case SimErrorKind::kShardFailed: return kExitShardFailed;
   }
   return kExitInvariantViolation;
 }

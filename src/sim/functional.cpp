@@ -68,6 +68,18 @@ F max_of(F x, F y) {
   return std::isnan(y) ? x : y;
 }
 
+// FP arithmetic under the one NaN rule (propagate_nan, adder_ops.hpp): a
+// NaN result carries the first NaN source's payload, whichever operand order
+// the compiler emits.
+template <typename F>
+F add_of(F x, F y) { return propagate_nan(x + y, x, y); }
+template <typename F>
+F sub_of(F x, F y) { return propagate_nan(x - y, x, y); }
+template <typename F>
+F mul_of(F x, F y) { return propagate_nan(x * y, x, y); }
+template <typename F>
+F fma_of(F x, F y, F z) { return propagate_nan(std::fma(x, y, z), x, y, z); }
+
 std::int64_t f2i(float v) {
   if (std::isnan(v)) return 0;
   if (v >= 9.2e18f) return std::numeric_limits<std::int64_t>::max();
@@ -330,11 +342,11 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
         break;
       ST2_LANE_OP(kSelp, w.pred(lane, in.pred) ? s1 : s2)
 
-      ST2_LANE_OP(kFAdd, from_f32(f32(s1) + f32(s2)))
-      ST2_LANE_OP(kFSub, from_f32(f32(s1) - f32(s2)))
-      ST2_LANE_OP(kFMul, from_f32(f32(s1) * f32(s2)))
+      ST2_LANE_OP(kFAdd, from_f32(add_of(f32(s1), f32(s2))))
+      ST2_LANE_OP(kFSub, from_f32(sub_of(f32(s1), f32(s2))))
+      ST2_LANE_OP(kFMul, from_f32(mul_of(f32(s1), f32(s2))))
       ST2_LANE_OP(kFDiv, from_f32(f32(s1) / f32(s2)))
-      ST2_LANE_OP(kFFma, from_f32(std::fma(f32(s1), f32(s2), f32(s3))))
+      ST2_LANE_OP(kFFma, from_f32(fma_of(f32(s1), f32(s2), f32(s3))))
       ST2_LANE_OP(kFMin, from_f32(min_of(f32(s1), f32(s2))))
       ST2_LANE_OP(kFMax, from_f32(max_of(f32(s1), f32(s2))))
       ST2_LANE_OP(kFAbs, from_f32(std::fabs(f32(s1))))
@@ -355,11 +367,11 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
       ST2_LANE_OP(kFSin, from_f32(std::sin(f32(s1))))
       ST2_LANE_OP(kFCos, from_f32(std::cos(f32(s1))))
 
-      ST2_LANE_OP(kDAdd, from_f64(f64(s1) + f64(s2)))
-      ST2_LANE_OP(kDSub, from_f64(f64(s1) - f64(s2)))
-      ST2_LANE_OP(kDMul, from_f64(f64(s1) * f64(s2)))
+      ST2_LANE_OP(kDAdd, from_f64(add_of(f64(s1), f64(s2))))
+      ST2_LANE_OP(kDSub, from_f64(sub_of(f64(s1), f64(s2))))
+      ST2_LANE_OP(kDMul, from_f64(mul_of(f64(s1), f64(s2))))
       ST2_LANE_OP(kDDiv, from_f64(f64(s1) / f64(s2)))
-      ST2_LANE_OP(kDFma, from_f64(std::fma(f64(s1), f64(s2), f64(s3))))
+      ST2_LANE_OP(kDFma, from_f64(fma_of(f64(s1), f64(s2), f64(s3))))
       ST2_LANE_OP(kDMin, from_f64(min_of(f64(s1), f64(s2))))
       ST2_LANE_OP(kDMax, from_f64(max_of(f64(s1), f64(s2))))
 

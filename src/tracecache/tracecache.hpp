@@ -34,9 +34,9 @@
 // overwrite, correct results. Disk write failures are non-fatal (the run
 // just loses the warm start).
 //
-// Multi-process writers. The disk tier is a shared store: the sweep
-// orchestrator (src/orch) points every worker process at one directory so
-// each workload is captured once cluster-wide. Stores stage into
+// Multi-process writers. The disk tier is a shared store: concurrent
+// `st2sim run|serve --trace-cache DIR` processes and bench binaries under
+// `BENCH_TRACE_CACHE=DIR` may all write one directory. Stores stage into
 // pid+counter-suffixed tmp files (snapshot::atomic_write_file with
 // unique_tmp), so two processes storing the same key can never interleave
 // into a torn file; the final rename race is benign win-either-way — both

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <random>
 
@@ -373,6 +375,22 @@ class ValueSource {
   std::mt19937_64 rng_;
 };
 
+/// The simulator's NaN rule, stated on bits: when any source is a NaN, the
+/// result is the first NaN source with its quiet bit set; otherwise it is
+/// `r` as computed.
+std::uint64_t nan_rule(float r, std::initializer_list<float> srcs) {
+  for (const float x : srcs) {
+    if (std::isnan(x)) return bits_f32(x) | 0x00400000u;
+  }
+  return bits_f32(r);
+}
+std::uint64_t nan_rule(double r, std::initializer_list<double> srcs) {
+  for (const double x : srcs) {
+    if (std::isnan(x)) return bits_f64(x) | 0x0008000000000000u;
+  }
+  return bits_f64(r);
+}
+
 /// Expected effect of a register/predicate-writing op on one lane.
 struct HostResult {
   bool is_pred = false;
@@ -402,9 +420,10 @@ HostResult host_eval(Opcode op, std::uint64_t s1, std::uint64_t s2,
     case Opcode::kSetGe: return prd(i1 >= i2);
     case Opcode::kSelp: return val(sel ? s1 : s2);
     case Opcode::kMovImm: return val(static_cast<std::uint64_t>(imm));
-    case Opcode::kFAdd: return val(bits_f32(f1 + f2));
-    case Opcode::kFSub: return val(bits_f32(f1 - f2));
-    case Opcode::kFFma: return val(bits_f32(std::fma(f1, f2, f3)));
+    case Opcode::kFAdd: return val(nan_rule(f1 + f2, {f1, f2}));
+    case Opcode::kFSub: return val(nan_rule(f1 - f2, {f1, f2}));
+    case Opcode::kFFma:
+      return val(nan_rule(std::fma(f1, f2, f3), {f1, f2, f3}));
     case Opcode::kFMin: return val(bits_f32(std::fmin(f1, f2)));
     case Opcode::kFMax: return val(bits_f32(std::fmax(f1, f2)));
     case Opcode::kFSetLt: return prd(f1 < f2);
@@ -413,9 +432,10 @@ HostResult host_eval(Opcode op, std::uint64_t s1, std::uint64_t s2,
     case Opcode::kFSetGe: return prd(f1 >= f2);
     case Opcode::kFSetEq: return prd(f1 == f2);
     case Opcode::kFSetNe: return prd(f1 != f2);
-    case Opcode::kDAdd: return val(bits_f64(d1 + d2));
-    case Opcode::kDSub: return val(bits_f64(d1 - d2));
-    case Opcode::kDFma: return val(bits_f64(std::fma(d1, d2, d3)));
+    case Opcode::kDAdd: return val(nan_rule(d1 + d2, {d1, d2}));
+    case Opcode::kDSub: return val(nan_rule(d1 - d2, {d1, d2}));
+    case Opcode::kDFma:
+      return val(nan_rule(std::fma(d1, d2, d3), {d1, d2, d3}));
     case Opcode::kDMin: return val(bits_f64(std::fmin(d1, d2)));
     case Opcode::kDMax: return val(bits_f64(std::fmax(d1, d2)));
     default: ADD_FAILURE() << "no host evaluation for " << isa::mnemonic(op);
@@ -423,10 +443,13 @@ HostResult host_eval(Opcode op, std::uint64_t s1, std::uint64_t s2,
   return {};
 }
 
-/// Bit equality, except that any two NaNs of an FP op's width match: which
-/// operand's payload a NaN result carries is the compiler's choice.
+/// Bit equality, except that any two NaNs match for FP min/max: glibc's
+/// fmin/fmax, the host reference, leave the payload of a two-NaN result
+/// open. Add, sub and FMA follow the NaN rule bit for bit.
 bool same_value(Opcode op, std::uint64_t got, std::uint64_t want) {
-  switch (kind_of(op)) {
+  const bool min_max = op == Opcode::kFMin || op == Opcode::kFMax ||
+                       op == Opcode::kDMin || op == Opcode::kDMax;
+  switch (min_max ? kind_of(op) : Kind::kInt) {
     case Kind::kF32:
       if (std::isnan(as_f32(got)) && std::isnan(as_f32(want))) return true;
       break;
@@ -695,6 +718,56 @@ TEST(Functional, AdderLanesMatchTheScalarOracleUnderAnyMask) {
           check_mem(op, mask, size, sext, vs);
         }
       }
+    }
+  }
+}
+
+// Two NaN sources: the result is the first one, quieted, whichever operand
+// order the compiler emits for the lane loop (docs/isa.md, "Floating
+// point"). `a` is signaling, so the result shows that it was quieted.
+TEST(Functional, NaNResultsCarryTheFirstNaNSourceQuieted) {
+  struct Nans {
+    std::uint64_t a, quiet_a, b, one;
+  };
+  const Nans f32{0x7fa00001u, 0x7fe00001u, 0xffc12345u, 0x3f800000u};
+  const Nans f64{0x7ff4000000000001u, 0x7ffc000000000001u,
+                 0xfff80000000abcdeu, 0x3ff0000000000000u};
+  for (const Opcode op : {Opcode::kFAdd, Opcode::kFSub, Opcode::kFMul,
+                          Opcode::kFFma, Opcode::kDAdd, Opcode::kDSub,
+                          Opcode::kDMul, Opcode::kDFma}) {
+    SCOPED_TRACE(isa::mnemonic(op));
+    const Nans& n = kind_of(op) == Kind::kF64 ? f64 : f32;
+    // Per lane: sources s1, s2, s3, and the expected result.
+    std::vector<std::array<std::uint64_t, 4>> lanes = {
+        {n.a, n.b, n.one, n.quiet_a},
+        {n.b, n.a, n.one, n.b},
+        {n.a, n.b, n.a, n.quiet_a},
+        {n.b, n.a, n.b, n.b}};
+    // FMA: a NaN addend counts when neither factor is a NaN.
+    if (op == Opcode::kFFma || op == Opcode::kDFma) {
+      lanes.push_back({n.one, n.one, n.a, n.quiet_a});
+    }
+    isa::Instruction in;
+    in.op = op;
+    in.dst = kDst;
+    in.src1 = kSrc1;
+    in.src2 = kSrc2;
+    in.src3 = kSrc3;
+    OneInstr t(in, (1u << lanes.size()) - 1);
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      const int lane = static_cast<int>(l);
+      t.warp.set_reg(lane, kSrc1, lanes[l][0]);
+      t.warp.set_reg(lane, kSrc2, lanes[l][1]);
+      t.warp.set_reg(lane, kSrc3, lanes[l][2]);
+    }
+    FunctionalCore core(t.kernel, t.launch, t.gmem, t.smem);
+    ExecRecord rec;
+    ASSERT_EQ(core.step(t.warp, rec), StepStatus::kExecuted);
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      const std::uint64_t got = t.warp.reg(static_cast<int>(l), kDst);
+      EXPECT_EQ(got, lanes[l][3])
+          << std::hex << "lane " << l << ": got 0x" << got << ", want 0x"
+          << lanes[l][3];
     }
   }
 }

@@ -672,9 +672,10 @@ TEST(TraceCacheConcurrent, HammerSharedCacheWithEvictionsAndDiskTier) {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-process disk tier: the sweep orchestrator points every worker
-// PROCESS at the same cache directory, so concurrent writers racing the same
-// keys must never leave a torn or half-renamed file behind. Two forked
+// Multi-process disk tier: concurrent `st2sim run|serve --trace-cache DIR`
+// processes and bench binaries under `BENCH_TRACE_CACHE=DIR` share one cache
+// directory, so writers racing the same keys must never leave a torn or
+// half-renamed file behind. Two forked
 // children (memo off, so every provide hits the disk path) hammer the same
 // key set; afterwards the directory must contain no staging litter and a
 // fresh cache must read every entry back as a clean disk hit.

@@ -12,21 +12,6 @@
 //                [--watchdog-ms N] [--trace-cache DIR] [--no-cache]
 //   st2sim client (--socket PATH | --port N) [--out-dir DIR]
 //                [--connect-retries N] [--connect-backoff-ms B]
-//   st2sim sweep --spec FILE --out DIR [--workers N] [--resume]
-//                [--bench-dir DIR] [--trace-cache DIR|off] [--max-retries K]
-//                [--retry-backoff-ms B] [--heartbeat-timeout-ms H]
-//                [--shard-timeout-ms T]
-//
-// sweep is the crash-safe sharded orchestrator (docs/robustness.md,
-// "Sharded sweep orchestrator"): a supervisor forks the sharded bench
-// binaries over a JSON-declared sweep space, journals every claim and
-// completion to <out>/journal.st2j (CRC-framed, torn-tail tolerant), reaps
-// crashed or hung workers (heartbeat + deadline watchdogs) and retries them
-// under capped exponential backoff, quarantines shards that keep failing
-// (exit 10), and merges the per-shard fragments into CSV/JSON outputs that
-// are byte-identical to an uninterrupted serial run. After ANY interruption
-// — including SIGKILL of the supervisor itself — `--resume` re-runs only
-// the unfinished shards.
 //
 // serve runs the simulator as a long-lived daemon (docs/simulator.md,
 // "Serving mode"): newline-delimited JSON requests in, length-framed
@@ -101,7 +86,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -111,7 +95,6 @@
 
 #include "src/common/table.hpp"
 #include "src/fault/fault.hpp"
-#include "src/orch/supervisor.hpp"
 #include "src/power/model.hpp"
 #include "src/run/run.hpp"
 #include "src/serve/client.hpp"
@@ -261,17 +244,13 @@ int usage() {
       "             [--no-cache]\n"
       "  st2sim client (--socket PATH | --port N) [--out-dir DIR]\n"
       "             [--connect-retries N] [--connect-backoff-ms B]\n"
-      "  st2sim sweep --spec FILE --out DIR [--workers N] [--resume]\n"
-      "             [--bench-dir DIR] [--trace-cache DIR|off]\n"
-      "             [--max-retries K] [--retry-backoff-ms B]\n"
-      "             [--heartbeat-timeout-ms H] [--shard-timeout-ms T]\n"
       "--jobs/--workers take a count >= 1 (values above the hardware thread\n"
       "count are clamped with a warning)\n"
       "exit codes: 0 ok, 1 validation failed, 2 bad arguments,\n"
       "            3 inadmissible launch, 4 watchdog aborted, 5 invariant\n"
       "            violation, 6 selfcheck failed, 7 io error,\n"
       "            8 snapshot invalid, 9 busy (serve),\n"
-      "            10 shard failed (sweep), 130 interrupted\n"
+      "            10 reserved, 130 interrupted\n"
       "            (see docs/robustness.md)");
   return sim::kExitBadArguments;
 }
@@ -816,92 +795,6 @@ int client_main(int argc, char** argv) {
   return serve::run_client(co);
 }
 
-int sweep_main(int argc, char** argv) {
-  orch::SweepOptions so;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (a == "--spec") {
-      const char* v = next();
-      if (!v || *v == '\0') return usage();
-      so.spec_path = v;
-    } else if (a == "--out") {
-      const char* v = next();
-      if (!v || *v == '\0') return usage();
-      so.out_dir = v;
-    } else if (a == "--workers") {
-      const char* v = next();
-      if (!v || !parse_int(v, &so.workers)) return usage();
-    } else if (a == "--resume") {
-      so.resume = true;
-    } else if (a == "--bench-dir") {
-      const char* v = next();
-      if (!v || *v == '\0') return usage();
-      so.bench_dir = v;
-    } else if (a == "--trace-cache") {
-      const char* v = next();
-      if (!v || *v == '\0') return usage();
-      so.trace_cache = v;
-    } else if (a == "--max-retries") {
-      const char* v = next();
-      if (!v || !parse_int(v, &so.max_retries) || so.max_retries < 0) {
-        return usage();
-      }
-    } else if (a == "--retry-backoff-ms") {
-      const char* v = next();
-      if (!v || !parse_int(v, &so.retry_backoff_ms) ||
-          so.retry_backoff_ms < 1) {
-        return usage();
-      }
-    } else if (a == "--heartbeat-timeout-ms") {
-      const char* v = next();
-      std::uint64_t ms = 0;
-      if (!v || !parse_u64(v, &ms) || ms < 1) return usage();
-      so.heartbeat_timeout_ms = ms;
-    } else if (a == "--shard-timeout-ms") {
-      const char* v = next();
-      std::uint64_t ms = 0;
-      if (!v || !parse_u64(v, &ms)) return usage();
-      so.shard_timeout_ms = ms;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
-      return usage();
-    }
-  }
-  if (so.spec_path.empty() && !so.resume) return usage();
-  if (so.out_dir.empty()) return usage();
-  try {
-    // Same contract as run --jobs / serve --workers: 0 is an unset shell
-    // variable, oversubscription clamps with a warning.
-    so.workers = sim::validate_thread_count(so.workers, "--workers");
-    if (so.bench_dir.empty()) {
-      // The sharded bench binaries live next to st2sim in a build tree
-      // (build/tools/st2sim → build/bench). Resolve relative to the binary
-      // so `st2sim sweep` works from any CWD.
-      std::error_code ec;
-      const auto self =
-          std::filesystem::read_symlink("/proc/self/exe", ec);
-      if (!ec) {
-        so.bench_dir =
-            (self.parent_path().parent_path() / "bench").string();
-      } else {
-        so.bench_dir = "bench";
-      }
-    }
-    so.cancel = &g_cancel;
-    std::signal(SIGINT, on_signal);
-    std::signal(SIGTERM, on_signal);
-    return orch::run_sweep(so);
-  } catch (const sim::SimError& e) {
-    return run::report_error(e);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error[internal]: %s\n", e.what());
-    return sim::kExitInvariantViolation;
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -915,9 +808,6 @@ int main(int argc, char** argv) {
   }
   if (argc >= 2 && std::strcmp(argv[1], "client") == 0) {
     return client_main(argc, argv);
-  }
-  if (argc >= 2 && std::strcmp(argv[1], "sweep") == 0) {
-    return sweep_main(argc, argv);
   }
   Options o;
   try {
