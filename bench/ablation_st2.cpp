@@ -120,8 +120,10 @@ int main() {
     };
     for (const auto& lc : pc.launches) {
       // The same pass that feeds the speculation harnesses also records
-      // the capture ablation C's timing run consumes below.
-      bench::trace_pass(pc.kernel, lc, *pc.mem, obs, /*store_capture=*/true);
+      // the capture ablation C's timing run consumes below. The 4-bit
+      // speculator reads the lanes' micro-ops.
+      bench::trace_pass(pc.kernel, lc, *pc.mem, obs, /*store_capture=*/true,
+                        /*record_lane_values=*/true);
     }
     for (std::size_t i = 0; i < hs.size(); ++i) {
       sums[i] += hs[i].op_misprediction_rate();

@@ -100,14 +100,16 @@ inline run::CaseResult run_kernel(const std::string& kernel, double scale,
 /// capture later timing runs consume. `store_capture` says whether this
 /// binary has such a consumer; without one, the capture is only worth
 /// recording when a disk tier will persist it for other binaries.
+/// `record_lane_values` is ExecRecord::record_lane_values.
 inline void trace_pass(const isa::Kernel& kernel, const sim::LaunchConfig& lc,
                        sim::GlobalMemory& gmem, const sim::TraceObserver& obs,
-                       bool store_capture) {
+                       bool store_capture, bool record_lane_values = false) {
   tracecache::TraceCache* cache = trace_cache();
   if (cache != nullptr && (store_capture || !cache->options().dir.empty())) {
-    cache->populate(sim::GpuConfig{}, kernel, lc, gmem, obs);
+    cache->populate(sim::GpuConfig{}, kernel, lc, gmem, obs,
+                    record_lane_values);
   } else {
-    sim::trace_run(kernel, lc, gmem, obs);
+    sim::trace_run(kernel, lc, gmem, obs, record_lane_values);
   }
 }
 

@@ -56,7 +56,7 @@ int main() {
   // Trace only the first launch (first pyramid sweep), like the paper's
   // four-iteration window.
   sim::trace_run(pc.kernel, pc.launches.at(0), *pc.mem, observer,
-                 /*record_results=*/true);
+                 /*record_lane_values=*/true);
 
   Table t("Figure 2: pathfinder hot-loop addition results (one thread, logical time)");
   t.header({"logical_time", "PC", "value"});

@@ -135,7 +135,8 @@ int main() {
       }
     };
     for (const auto& lc : pc.launches) {
-      sim::trace_run(pc.kernel, lc, *pc.mem, obs);
+      sim::trace_run(pc.kernel, lc, *pc.mem, obs,
+                     /*record_lane_values=*/true);
     }
     for (const auto& [op, e] : by_op) {
       pk.row({name, isa::mnemonic(static_cast<isa::Opcode>(op)),

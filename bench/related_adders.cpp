@@ -61,7 +61,8 @@ int main() {
       }
     };
     for (const auto& lc : pc.launches) {
-      sim::trace_run(pc.kernel, lc, *pc.mem, obs);
+      sim::trace_run(pc.kernel, lc, *pc.mem, obs,
+                     /*record_lane_values=*/true);
     }
   }
 

@@ -55,8 +55,8 @@ void append_op(WarpStream& ws, const ExecRecord& rec, int line_bytes,
     t.mem_lines = static_cast<std::uint16_t>(n);
   } else if (rec.has_adder_op && capture_adder) {
     // The value-dependent speculation inputs of the active lanes, as
-    // step() resolved them; replay combines them with the CRF history,
-    // which is timing-dependent.
+    // step() resolved them (two planes, eight masked 8-byte copies); replay
+    // combines them with the CRF history, which is timing-dependent.
     t.payload = static_cast<std::uint32_t>(ws.adder_lanes.size());
     ws.adder_lanes.push_back(rec.lanes.masked(rec.active_mask));
   }
@@ -67,7 +67,8 @@ void append_op(WarpStream& ws, const ExecRecord& rec, int line_bytes,
 
 GridCapture capture_grid(const GpuConfig& cfg, const isa::Kernel& kernel,
                          const LaunchConfig& launch, GlobalMemory& gmem,
-                         const TraceObserver& observer) {
+                         const TraceObserver& observer,
+                         bool record_lane_values) {
   launch.validate();
   GridCapture cap;
   cap.per_sm.resize(static_cast<std::size_t>(cfg.num_sms));
@@ -111,7 +112,7 @@ GridCapture capture_grid(const GpuConfig& cfg, const isa::Kernel& kernel,
                  static_cast<std::size_t>(rec.warp_in_block)];
     append_op(ws, rec, line_bytes, capture_adder);
     if (observer) observer(rec);
-  });
+  }, record_lane_values);
   return cap;
 }
 

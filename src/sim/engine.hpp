@@ -115,12 +115,13 @@ struct ReplayCheckpoint {
 /// exactly as trace_run would) and records the per-warp replay streams.
 /// Adder-lane payloads are only captured when `cfg.st2_enabled`. A non-null
 /// `observer` additionally sees every executed record, exactly as if passed
-/// to `trace_run` — so one functional pass can both build a capture and feed
-/// trace-mode consumers (the sweep benches use this to populate the trace
-/// cache for free).
+/// to `trace_run` with `record_lane_values` — so one functional pass can
+/// both build a capture and feed trace-mode consumers (the sweep benches use
+/// this to populate the trace cache for free).
 GridCapture capture_grid(const GpuConfig& cfg, const isa::Kernel& kernel,
                          const LaunchConfig& launch, GlobalMemory& gmem,
-                         const TraceObserver& observer = {});
+                         const TraceObserver& observer = {},
+                         bool record_lane_values = false);
 
 class ExecutionEngine {
  public:

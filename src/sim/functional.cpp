@@ -200,7 +200,7 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
   const std::size_t dst = in.dst;
   const auto imm = static_cast<std::uint64_t>(in.imm);
   const bool msext = in.msext;
-  const bool record_results = rec.record_results;
+  const bool record_lane_values = rec.record_lane_values;
 
   auto reg = [&](int lane, std::size_t r) {
     return regs[static_cast<std::size_t>(lane) * stride + r];
@@ -208,7 +208,7 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
   // Each case that writes a register also sets rec.writes_reg, once.
   auto write_result = [&](int lane, std::uint64_t v) {
     regs[static_cast<std::size_t>(lane) * stride + dst] = v;
-    if (record_results) rec.result[static_cast<std::size_t>(lane)] = v;
+    if (record_lane_values) rec.result[static_cast<std::size_t>(lane)] = v;
   };
 
   // Memory instructions resolve their access width once: `fn` runs with a
@@ -236,9 +236,10 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
   // below resolves it once per instruction, and `op(lane, s1, s2, s3)`
   // returns the lane's result: a register value, or a predicate bit that
   // lands in the destination predicate once per warp. An adder opcode also
-  // stores each lane's micro-op and spec::lane_record; its slice count, and
-  // with it the relevant mask and (for integers) the carry-in, is a
-  // constant of the opcode.
+  // stores each lane's Peek mask and true carries (and, under
+  // record_lane_values, its micro-op); its slice count, and with it the
+  // relevant mask and (for integers) the carry-in, is a constant of the
+  // opcode.
   auto lane_loop = [&](auto opcode, auto&& op) {
     constexpr Opcode kOp = decltype(opcode)::value;
     constexpr int kSlices = adder_slices(kOp);
@@ -246,7 +247,7 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
                                std::uint64_t{}));
     if constexpr (kSlices != 0) {
       rec.has_adder_op = true;
-      rec.lanes.relevant.fill(spec::relevant_mask(kSlices));
+      rec.relevant = spec::relevant_mask(kSlices);
     }
     std::uint32_t bits = 0;
     for_lanes([&](int lane) {
@@ -257,14 +258,9 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
       const std::uint64_t s3 = lane_regs[src3];
       if constexpr (kSlices != 0) {
         const AdderMicroOp m = adder_operands<kOp>(s1, s2, s3);
-        AdderMicroOp& out = rec.adder[l];
-        out.a = m.a;
-        out.b = m.b;
-        out.cin = m.cin;
-        out.num_slices = kSlices;
+        if (record_lane_values) rec.adder[l] = m;
         const spec::LaneRecord r = spec::lane_record(m.a, m.b, m.cin, kSlices);
         rec.lanes.peek_mask[l] = r.peek_mask;
-        rec.lanes.peek_carries[l] = r.peek_carries;
         rec.lanes.actual[l] = r.actual;
       }
       const Result v = op(lane, s1, s2, s3);
@@ -272,7 +268,7 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
         bits |= std::uint32_t{v} << lane;
       } else {
         lane_regs[dst] = v;
-        if (record_results) rec.result[l] = v;
+        if (record_lane_values) rec.result[l] = v;
       }
     });
     if constexpr (std::is_same_v<Result, bool>) {

@@ -99,11 +99,18 @@ struct ExecRecord {
   isa::UnitClass unit = isa::UnitClass::kControl;
 
   bool has_adder_op = false;
-  std::array<AdderMicroOp, kWarpSize> adder{};  ///< valid where active
-  /// Each active adder lane's spec::lane_record, computed once by step():
-  /// capture copies it into the replay stream and the lattice reads it
-  /// eight lanes at a time. Valid where active.
+  /// spec::relevant_mask of the adder op's slice count, which its opcode
+  /// fixes: the bits of a 7-bit carry pattern the add owns. Valid when
+  /// has_adder_op.
+  std::uint8_t relevant = 0;
+  /// Each active adder lane's Peek mask and true carries
+  /// (spec::lane_record), computed once by step(): capture copies them
+  /// into the replay stream and the lattice reads them eight lanes at a
+  /// time. Valid where active.
   spec::WarpLanes lanes{};
+  /// Each active adder lane's micro-op; valid where active, and only under
+  /// record_lane_values.
+  std::array<AdderMicroOp, kWarpSize> adder{};
 
   bool is_mem = false;
   bool is_store = false;
@@ -115,10 +122,12 @@ struct ExecRecord {
 
   /// Input knob, not an output: when set by the caller, `result` receives
   /// the destination value written per lane (valid where active and
-  /// writes_reg). Off by default — the timing capture path never reads the
-  /// values, and skipping the per-lane stores measurably speeds up capture.
-  /// The Figure 2 value tracer turns it on.
-  bool record_results = false;
+  /// writes_reg) and `adder` each active adder lane's micro-op. Off by
+  /// default: capture and the lattice read neither, and skipping the
+  /// per-lane stores measurably speeds up the functional step. Observers
+  /// that read per-lane operands or results (the Figure 2 tracer, the
+  /// related-adder and ablation benches) turn it on.
+  bool record_lane_values = false;
   std::array<std::uint64_t, kWarpSize> result{};
 };
 

@@ -6,6 +6,7 @@
 
 #include "src/common/bitutils.hpp"
 #include "src/common/contracts.hpp"
+#include "src/sim/adder_ops.hpp"
 #include "src/sim/error.hpp"
 #include "src/sim/trace_run.hpp"
 #include "src/spec/predictor.hpp"
@@ -118,6 +119,9 @@ SmCore::SmCore(const GpuConfig& cfg, const isa::Kernel& kernel,
     si.is_bar = in.op == Opcode::kBar;
     si.is_atomic =
         in.op == Opcode::kAtomAddGlobal || in.op == Opcode::kAtomAddShared;
+    if (const int slices = adder_slices(in.op); slices != 0) {
+      si.relevant = spec::relevant_mask(slices);
+    }
     if (cfg.model_rf_bank_conflicts) {
       // Operand collection: sources mapping to the same register-file bank
       // serialize, extending collection by one cycle per extra access.
@@ -585,8 +589,9 @@ int SmCore::speculate(const WarpStream& ws, const TraceOp& op, int latency) {
         static_cast<std::uint8_t>(1u << flip_bit);
     ++counters_.faults_hist_flips;
   }
-  const spec::WarpResolve r = spec::resolve_warp(
-      row.data(), ws.adder_lanes[op.payload], op.active_mask, 0xff, edits);
+  const spec::WarpResolve r =
+      spec::resolve_warp(row.data(), ws.adder_lanes[op.payload],
+                         static_[op.pc].relevant, op.active_mask, 0xff, edits);
 
   counters_.adder_thread_ops += r.tally.ops;
   // A lane computes num_slices slices: its carry bits plus one.

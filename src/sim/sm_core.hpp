@@ -165,6 +165,9 @@ class SmCore {
     FuKind fu;
     bool is_bar = false;
     bool is_atomic = false;
+    /// spec::relevant_mask of the opcode's adder slice count; 0 when the
+    /// opcode engages no adder.
+    std::uint8_t relevant = 0;
     int rf_conflict_extra = 0;  ///< operand-collector bank serialization
   };
 

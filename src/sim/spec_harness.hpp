@@ -6,7 +6,7 @@
 // the register-read stage; updates land at write-back), then each lane in
 // order composes its prediction, resolves it and trains. A warp makes one
 // probe into the row table and runs the packed step (LatticeRule::step) on
-// the lane records step() stored in the ExecRecord.
+// the lane planes and relevant mask step() stored in the ExecRecord.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +52,8 @@ class SpeculationHarness {
 };
 
 /// Builds the spec::AddOp for one lane of a record, with the global thread
-/// id SpeculationHarness::feed gives that lane.
+/// id SpeculationHarness::feed gives that lane. The record must have been
+/// made under ExecRecord::record_lane_values.
 spec::AddOp make_add_op(const ExecRecord& rec, int lane);
 
 }  // namespace st2::sim

@@ -100,14 +100,14 @@ void count_instruction(const ExecRecord& rec, EventCounters& c) {
 
 TraceResult trace_run(const isa::Kernel& kernel, const LaunchConfig& launch,
                       GlobalMemory& gmem, const TraceObserver& observer,
-                      bool record_results) {
+                      bool record_lane_values) {
   if (observer) {
     return trace_run_observed(kernel, launch, gmem,
                               [&](const ExecRecord& rec) { observer(rec); },
-                              record_results);
+                              record_lane_values);
   }
   return trace_run_observed(kernel, launch, gmem, [](const ExecRecord&) {},
-                            record_results);
+                            record_lane_values);
 }
 
 }  // namespace st2::sim

@@ -119,18 +119,18 @@ class MixInterner {
 
 /// Runs `kernel` over the whole grid functionally, calling `observer` (any
 /// callable taking const ExecRecord&) once per executed warp instruction.
-/// Instruction-mix counters are always collected. `record_results` forwards
-/// to ExecRecord::record_results: observers that read per-lane destination
-/// values (the Figure 2 tracer) must set it.
+/// Instruction-mix counters are always collected. `record_lane_values`
+/// forwards to ExecRecord::record_lane_values: observers that read per-lane
+/// results or adder micro-ops must set it.
 template <typename Observer>
 TraceResult trace_run_observed(const isa::Kernel& kernel,
                                const LaunchConfig& launch, GlobalMemory& gmem,
                                Observer&& observer,
-                               bool record_results = false) {
+                               bool record_lane_values = false) {
   launch.validate();
   TraceResult result;
   ExecRecord rec;
-  rec.record_results = record_results;
+  rec.record_lane_values = record_lane_values;
   detail::MixInterner mix(kernel.code.size(), result.counters);
 
   // One core and one set of warp contexts serve every block: the core holds
@@ -196,6 +196,6 @@ TraceResult trace_run_observed(const isa::Kernel& kernel,
 /// Type-erased wrapper over trace_run_observed. `observer` may be null.
 TraceResult trace_run(const isa::Kernel& kernel, const LaunchConfig& launch,
                       GlobalMemory& gmem, const TraceObserver& observer = {},
-                      bool record_results = false);
+                      bool record_lane_values = false);
 
 }  // namespace st2::sim

@@ -32,7 +32,8 @@ namespace st2::spec {
 
 /// The carry facts of one lane's add, all functions of its operands: Peek's
 /// statically certain carry-ins and the ground truth. FunctionalCore::step
-/// computes one per active adder lane and stores it into WarpLanes.
+/// computes one per active adder lane and stores its Peek mask and true
+/// carries into WarpLanes.
 struct LaneRecord {
   std::uint8_t peek_mask = 0;     ///< bit s-1 set: slice s's carry is certain
   std::uint8_t peek_carries = 0;  ///< the certain carries, under peek_mask
@@ -98,31 +99,32 @@ inline void store_byte_lanes(std::uint8_t* p, std::uint64_t v) {
   std::memcpy(p, &v, sizeof v);
 }
 
-/// One warp instruction's lane records as four byte planes, one byte per
-/// lane, valid where the lane is active. FunctionalCore::step stores them
-/// once per active adder lane; capture keeps one per adder instruction,
-/// inactive lanes zeroed (`masked`), and resolve_warp reads them eight
-/// lanes to a uint64_t.
+/// One warp instruction's lane records as two byte planes, one byte per
+/// lane, valid where the lane is active: the Peek mask and the true carries.
+/// The rest of a LaneRecord is not stored per lane: Peek is never wrong, so
+/// the certain carries are `actual & peek_mask`, and the relevant mask is
+/// fixed by the opcode's slice count, one byte per instruction.
+/// FunctionalCore::step stores the planes once per active adder lane;
+/// capture keeps one per adder instruction, inactive lanes zeroed
+/// (`masked`), and resolve_warp reads them eight lanes to a uint64_t.
 struct WarpLanes {
   std::array<std::uint8_t, kWarpLanes> peek_mask{};
-  std::array<std::uint8_t, kWarpLanes> peek_carries{};
   std::array<std::uint8_t, kWarpLanes> actual{};
-  std::array<std::uint8_t, kWarpLanes> relevant{};  ///< relevant_mask(n)
 
   void set(int lane, const LaneRecord& r) {
     const auto l = static_cast<std::size_t>(lane);
     peek_mask[l] = r.peek_mask;
-    peek_carries[l] = r.peek_carries;
     actual[l] = r.actual;
-    relevant[l] = relevant_mask(r.num_slices);
   }
 
-  /// The record of `lane`; its slice count comes back from the relevant
-  /// mask, whose n - 1 low bits are set.
-  LaneRecord get(int lane) const {
+  /// The record of `lane` of an instruction whose relevant mask is
+  /// `relevant`; its slice count comes back from the mask, whose n - 1 low
+  /// bits are set.
+  LaneRecord get(int lane, std::uint8_t relevant) const {
     const auto l = static_cast<std::size_t>(lane);
-    return {peek_mask[l], peek_carries[l], actual[l],
-            static_cast<std::uint8_t>(std::bit_width(relevant[l]) + 1)};
+    return {peek_mask[l],
+            static_cast<std::uint8_t>(actual[l] & peek_mask[l]), actual[l],
+            static_cast<std::uint8_t>(std::bit_width(relevant) + 1)};
   }
 
   /// These planes with every byte of a lane outside `active` zeroed: one
@@ -132,21 +134,16 @@ struct WarpLanes {
     for (int w = 0; w < kWarpLanes / 8; ++w) {
       const auto at = static_cast<std::size_t>(8 * w);
       const std::uint64_t live = byte_mask_from_bits(active >> (8 * w));
-      const auto copy = [&](const std::array<std::uint8_t, kWarpLanes>& from,
-                            std::array<std::uint8_t, kWarpLanes>& to) {
-        store_byte_lanes(to.data() + at,
-                         load_byte_lanes(from.data() + at) & live);
-      };
-      copy(peek_mask, out.peek_mask);
-      copy(peek_carries, out.peek_carries);
-      copy(actual, out.actual);
-      copy(relevant, out.relevant);
+      store_byte_lanes(out.peek_mask.data() + at,
+                       load_byte_lanes(peek_mask.data() + at) & live);
+      store_byte_lanes(out.actual.data() + at,
+                       load_byte_lanes(actual.data() + at) & live);
     }
     return out;
   }
 };
-static_assert(sizeof(WarpLanes) == 4 * kWarpLanes,
-              "a WarpLanes is its four planes, with no padding");
+static_assert(sizeof(WarpLanes) == 2 * kWarpLanes,
+              "a WarpLanes is its two planes, with no padding");
 
 /// Counts of one warp instruction's resolved lanes.
 struct WarpTally {
@@ -177,8 +174,9 @@ struct WarpResolve {
 };
 
 /// The packed rule: composes, resolves and counts the `active` lanes of one
-/// warp instruction against the 32-byte history `row` (lane i reads byte
-/// i), eight byte lanes per uint64_t, exactly as a lane-order loop of
+/// warp instruction, whose relevant mask is `relevant` (relevant_mask of its
+/// slice count), against the 32-byte history `row` (lane i reads byte i),
+/// eight byte lanes per uint64_t, exactly as a lane-order loop of
 /// compose_prediction, resolve_prediction and merge_history would, then
 /// applies the detector `edits`. `peek_keep` is 0xff, or 0 to resolve
 /// without Peek.
@@ -190,10 +188,11 @@ struct WarpResolve {
 /// the carry bits a popcount of the relevant mask (inactive lanes masked
 /// off).
 inline WarpResolve resolve_warp(const std::uint8_t* row,
-                                const WarpLanes& lanes, std::uint32_t active,
-                                std::uint8_t peek_keep,
+                                const WarpLanes& lanes, std::uint8_t relevant,
+                                std::uint32_t active, std::uint8_t peek_keep,
                                 DetectorEdits edits = {}) {
   const std::uint64_t keep = peek_keep * 0x0101010101010101ULL;
+  const std::uint64_t relevant_word = relevant * 0x0101010101010101ULL;
   WarpResolve r;
   WarpTally& t = r.tally;
   t.ops = static_cast<std::uint64_t>(popcount64(active));
@@ -204,8 +203,7 @@ inline WarpResolve resolve_warp(const std::uint8_t* row,
     const std::uint64_t live = byte_mask_from_bits(word_lanes);
     const std::uint64_t pm =
         load_byte_lanes(lanes.peek_mask.data() + at) & keep;
-    const std::uint64_t rel =
-        load_byte_lanes(lanes.relevant.data() + at) & live;
+    const std::uint64_t rel = relevant_word & live;
     const std::uint64_t act = load_byte_lanes(lanes.actual.data() + at) & rel;
     const std::uint64_t hist = load_byte_lanes(row + at);
     const std::uint64_t dyn = rel & ~pm;
@@ -375,23 +373,26 @@ struct LatticeRule {
   }
 
   /// The packed warp step: resolve_warp on the `active` lanes of one warp
-  /// instruction, then the lattice's training, exactly as a lane-order loop
-  /// of compose_prediction, resolve_prediction and train would. `entries`
-  /// is the 32-byte row the warp reads before any lane trains; without
-  /// per_lane every lane reads and trains its byte 0, the one shared entry.
+  /// instruction with relevant mask `relevant`, then the lattice's training,
+  /// exactly as a lane-order loop of compose_prediction, resolve_prediction
+  /// and train would. `entries` is the 32-byte row the warp reads before
+  /// any lane trains; without per_lane every lane reads and trains its byte
+  /// 0, the one shared entry.
   /// `fresh` marks the lanes whose entry is touched for the first time.
   /// A row trains with one masked 8-byte store per word; the shared entry
   /// folds the writing lanes' merges in lane order.
-  WarpTally step(const WarpLanes& lanes, std::uint32_t active,
-                 std::uint32_t fresh, std::uint8_t* entries) const {
+  WarpTally step(const WarpLanes& lanes, std::uint8_t relevant,
+                 std::uint32_t active, std::uint32_t fresh,
+                 std::uint8_t* entries) const {
     std::array<std::uint8_t, kWarpLanes> shared{};
     if (!per_lane) shared.fill(entries[0]);
     const WarpResolve r = resolve_warp(per_lane ? entries : shared.data(),
-                                       lanes, active, peek_keep);
+                                       lanes, relevant, active, peek_keep);
     std::uint32_t writers =
         active & ((write_always ? ~0u : 0u) |
                   (write_on_miss ? r.mispredicted : 0u) | fresh);
     if (per_lane) {
+      const std::uint64_t rel = relevant * 0x0101010101010101ULL;
       for (int w = 0; w < kWarpLanes / 8; ++w) {
         const std::uint32_t word_writers = (writers >> (8 * w)) & 0xffu;
         if (word_writers == 0) continue;
@@ -401,8 +402,7 @@ struct LatticeRule {
         // boundary, else 0.
         const std::uint64_t merged =
             valhalla ? (nonzero_byte_msbs(
-                            load_byte_lanes(lanes.actual.data() + at) &
-                            load_byte_lanes(lanes.relevant.data() + at)) >>
+                            load_byte_lanes(lanes.actual.data() + at) & rel) >>
                         7) * 0x7f
                      : load_byte_lanes(r.merged.data() + at);
         store_byte_lanes(entries + at,
@@ -419,10 +419,9 @@ struct LatticeRule {
     for (; writers != 0; writers &= writers - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(writers));
       const std::uint8_t act =
-          static_cast<std::uint8_t>(lanes.actual[l] & lanes.relevant[l]);
+          static_cast<std::uint8_t>(lanes.actual[l] & relevant);
       e = valhalla ? (act != 0 ? 0x7f : 0)
-                   : static_cast<std::uint8_t>((e & ~lanes.relevant[l]) |
-                                               act);
+                   : static_cast<std::uint8_t>((e & ~relevant) | act);
     }
     entries[0] = e;
     return r.tally;
@@ -434,15 +433,16 @@ class CarrySpeculator {
   explicit CarrySpeculator(const SpeculationConfig& cfg);
 
   /// One warp instruction: the packed step (LatticeRule::step) of the
-  /// `active` lanes of `lanes`, whose lane 0 is global thread `gtid0`
-  /// (a multiple of 32), against one probe of the table.
+  /// `active` lanes of `lanes` with relevant mask `relevant`, whose lane 0
+  /// is global thread `gtid0` (a multiple of 32), against one probe of the
+  /// table.
   WarpTally step(std::uint64_t pc, std::uint32_t gtid0, const WarpLanes& lanes,
-                 std::uint32_t active) {
+                 std::uint8_t relevant, std::uint32_t active) {
     ST2_EXPECTS((gtid0 & 31u) == 0);
     if (!tabled_) {
       std::array<std::uint8_t, kWarpLanes> constants;
       constants.fill(constant_);
-      return rule_.step(lanes, active, 0, constants.data());
+      return rule_.step(lanes, relevant, active, 0, constants.data());
     }
     const Slot s = slot(pc, gtid0, 0);
     RowTable::Row& row = table_.find_or_insert(s.row);
@@ -451,7 +451,7 @@ class CarrySpeculator {
     const std::uint32_t fresh =
         rule_.per_lane ? table_.occupy(row, active)
                        : table_.occupy(row, 1u) * (active & (0u - active));
-    return rule_.step(lanes, active, fresh, row.entries.data());
+    return rule_.step(lanes, relevant, active, fresh, row.entries.data());
   }
 
   /// One op at a time (no warp): the prediction for `op`.

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/common/bitutils.hpp"
+#include "src/sim/adder_ops.hpp"
 #include "src/sim/error.hpp"
 #include "src/snapshot/crc32.hpp"
 #include "src/snapshot/serial.hpp"
@@ -91,27 +92,19 @@ std::uint64_t hash_image(const std::uint8_t* p, std::size_t n) {
 }
 
 /// Whether `lanes` are planes capture could have written for an op with
-/// `active` lanes: each active lane's relevant byte is some relevant_mask(n)
-/// with n in 1..8, its true carries lie under it, and its certain carries
-/// under its Peek mask; every inactive lane's bytes are 0.
-bool valid_lanes(const spec::WarpLanes& lanes, std::uint32_t active) {
-  constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
-  constexpr std::uint64_t kMsbs = 0x8080808080808080ULL;
+/// `active` lanes and relevant mask `relevant`: each active lane's Peek mask
+/// and true carries lie under `relevant`, and every inactive lane's bytes
+/// are 0.
+bool valid_lanes(const spec::WarpLanes& lanes, std::uint32_t active,
+                 std::uint8_t relevant) {
+  const std::uint64_t rel = relevant * 0x0101010101010101ULL;
   for (int w = 0; w < spec::kWarpLanes / 8; ++w) {
     const auto at = static_cast<std::size_t>(8 * w);
-    const std::uint64_t dead = ~byte_mask_from_bits(active >> (8 * w));
+    const std::uint64_t live = byte_mask_from_bits(active >> (8 * w));
     const std::uint64_t pm =
         spec::load_byte_lanes(lanes.peek_mask.data() + at);
-    const std::uint64_t pc =
-        spec::load_byte_lanes(lanes.peek_carries.data() + at);
     const std::uint64_t act = spec::load_byte_lanes(lanes.actual.data() + at);
-    const std::uint64_t rel =
-        spec::load_byte_lanes(lanes.relevant.data() + at);
-    if (((pm | pc | act | rel) & dead) != 0) return false;
-    // A byte below 0x80 is a low mask exactly when adding 1 clears all its
-    // bits; with no byte at or above 0x80 the add carries into no neighbour.
-    if ((rel & kMsbs) != 0 || ((rel + kOnes) & rel) != 0) return false;
-    if ((act & ~rel) != 0 || (pc & ~pm) != 0) return false;
+    if (((pm | act) & ~(rel & live)) != 0) return false;
   }
   return true;
 }
@@ -127,7 +120,7 @@ std::string capture_key(const sim::GpuConfig& cfg, const isa::Kernel& kernel,
   std::uint64_t khash = snapshot::fnv1a64(kernel.disassemble());
   khash = snapshot::fnv1a64(kernel.name.data(), kernel.name.size(),
                             khash ^ 0x9e3779b97f4a7c15ULL);
-  std::string key = "st2cap-v2 kernel=" + kernel.name +
+  std::string key = "st2cap-v3 kernel=" + kernel.name +
                     " khash=" + hex16(khash) +
                     " shared=" + std::to_string(kernel.shared_bytes) +
                     " regs=" + std::to_string(kernel.regs_used) +
@@ -165,7 +158,7 @@ std::string serialize_capture(const CanonicalCapture& cap,
       w.u32(static_cast<std::uint32_t>(ws.lines.size()));
       for (const std::uint64_t line : ws.lines) w.u64(line);
       // The lane pool is by far the largest stream for adder-heavy kernels;
-      // a WarpLanes is four byte planes, so a bulk raw write produces
+      // a WarpLanes is two byte planes, so a bulk raw write produces
       // exactly the bytes a per-field loop would (and the matching bulk
       // read makes warm hits cheap).
       w.u32(static_cast<std::uint32_t>(ws.adder_lanes.size()));
@@ -183,6 +176,7 @@ std::string serialize_capture(const CanonicalCapture& cap,
 
 CanonicalCapture deserialize_capture(std::string_view payload,
                                      std::string_view expected_key,
+                                     const isa::Kernel& kernel,
                                      const std::string& context) {
   snapshot::Reader r(payload, context);
   r.require(r.str() == expected_key,
@@ -216,6 +210,13 @@ CanonicalCapture deserialize_capture(std::string_view payload,
         op.payload = r.u32();
         r.require((op.flags & ~kAllFlags) == 0, "unknown trace-op flag bits");
         r.require(op.active_mask != 0, "trace op with no active lanes");
+        // Replay indexes its per-PC tables by op.pc, and an adder op's
+        // relevant mask comes from its opcode.
+        r.require(op.pc < kernel.code.size(),
+                  "trace op pc outside the kernel");
+        r.require(
+            op.has_adder() == (sim::adder_slices(kernel.code[op.pc].op) != 0),
+            "adder flag disagrees with the opcode");
       }
       const std::uint32_t num_lines = r.u32();
       r.require(num_lines <= payload.size(),
@@ -233,17 +234,22 @@ CanonicalCapture deserialize_capture(std::string_view payload,
       // the pools just read, so corrupt streams surface here as a typed
       // rejection instead of out-of-range access in SmCore.
       for (const sim::TraceOp& op : ws.ops) {
-        if (op.is_mem() && !op.is_shared()) {
+        if (op.has_adder()) {
+          // Replay reads an adder op's payload as lanes, whatever its
+          // other flags say.
+          r.require(!op.is_mem(), "adder op flagged as a memory op");
+          r.require(op.payload < ws.adder_lanes.size(),
+                    "adder op references lanes outside the pool");
+          r.require(valid_lanes(ws.adder_lanes[op.payload], op.active_mask,
+                                spec::relevant_mask(sim::adder_slices(
+                                    kernel.code[op.pc].op))),
+                    "adder lane planes are malformed");
+        } else if (op.is_mem() && !op.is_shared()) {
           r.require(op.mem_lines <= sim::kWarpSize,
                     "coalesced line count exceeds the warp width");
           r.require(static_cast<std::size_t>(op.payload) + op.mem_lines <=
                         ws.lines.size(),
                     "memory op references lines outside the pool");
-        } else if (op.has_adder()) {
-          r.require(op.payload < ws.adder_lanes.size(),
-                    "adder op references lanes outside the pool");
-          r.require(valid_lanes(ws.adder_lanes[op.payload], op.active_mask),
-                    "adder lane planes are malformed");
         }
       }
     }
@@ -350,7 +356,7 @@ sim::GridCapture TraceCache::provide(const sim::GpuConfig& cfg,
       const std::string payload =
           snapshot::read_snapshot(path_for(key), snapshot::fnv1a64(key));
       CanonicalCapture cap =
-          deserialize_capture(payload, key, "trace-cache entry");
+          deserialize_capture(payload, key, kernel, "trace-cache entry");
       // The embedded key matches, so these can only fail on a key-string
       // collision crafted to pass the CRC — reject rather than trust.
       if (cap.final_mem.size() != gmem.size() ||
@@ -401,13 +407,14 @@ void TraceCache::populate(const sim::GpuConfig& cfg,
                           const isa::Kernel& kernel,
                           const sim::LaunchConfig& launch,
                           sim::GlobalMemory& gmem,
-                          const sim::TraceObserver& observer) {
+                          const sim::TraceObserver& observer,
+                          bool record_lane_values) {
   const std::string key = capture_key(cfg, kernel, launch, gmem);
   // The observer needs every ExecRecord, so this path always executes; the
   // capture falls out of the same pass for free.
   CanonicalCapture cap = canonicalize(
       sim::capture_grid(canonical_config(cfg), kernel, launch, gmem,
-                        observer),
+                        observer, record_lane_values),
       gmem);
   {
     std::lock_guard<std::mutex> lock(mu_);

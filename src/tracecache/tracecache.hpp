@@ -107,13 +107,16 @@ std::string capture_key(const sim::GpuConfig& cfg, const isa::Kernel& kernel,
 std::string serialize_capture(const CanonicalCapture& cap,
                               std::string_view key);
 
-/// Parses and validates a serialized capture. Every structural and semantic
-/// expectation — embedded key == `expected_key`, in-bounds stream indices,
-/// legal flag bits, sane slice counts — is checked; any violation throws
-/// SimError(kSnapshotInvalid) carrying `context`, never indexes out of
-/// range.
+/// Parses and validates a serialized capture of `kernel`. Every structural
+/// and semantic expectation — embedded key == `expected_key`, in-bounds
+/// stream indices, legal flag bits, every op's pc inside `kernel.code`, the
+/// adder flag agreeing with the opcode, lane planes under the opcode's
+/// relevant mask and zero in inactive lanes — is checked; any violation
+/// throws SimError(kSnapshotInvalid) carrying `context`, never indexes out
+/// of range.
 CanonicalCapture deserialize_capture(std::string_view payload,
                                      std::string_view expected_key,
+                                     const isa::Kernel& kernel,
                                      const std::string& context);
 
 /// The CaptureProvider implementation plugged into EngineOptions.
@@ -132,11 +135,13 @@ class TraceCache final : public sim::CaptureProvider {
 
   /// Producer path for trace-mode passes: always runs the canonical
   /// functional capture (the observer needs every ExecRecord), chains
-  /// `observer` through it, and stores the entry so later `provide` calls
-  /// hit. Counts as neither hit nor miss.
+  /// `observer` through it (with `record_lane_values`, as capture_grid),
+  /// and stores the entry so later `provide` calls hit. Counts as neither
+  /// hit nor miss.
   void populate(const sim::GpuConfig& cfg, const isa::Kernel& kernel,
                 const sim::LaunchConfig& launch, sim::GlobalMemory& gmem,
-                const sim::TraceObserver& observer);
+                const sim::TraceObserver& observer,
+                bool record_lane_values = false);
 
   CacheStats stats() const {
     std::lock_guard<std::mutex> lock(mu_);

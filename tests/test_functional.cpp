@@ -261,14 +261,28 @@ TEST(Functional, ExecRecordCarriesAdderMicroOps) {
   lc.block_x = 32;
   lc.args = {d_out};
   int add_records = 0;
+  trace_run(
+      k, lc, mem,
+      [&](const ExecRecord& rec) {
+        if (!rec.has_adder_op || rec.instr->op != isa::Opcode::kIAdd) return;
+        ++add_records;
+        EXPECT_EQ(rec.adder[0].a, 100u);
+        EXPECT_EQ(rec.adder[0].b, 200u);
+        EXPECT_EQ(rec.adder[0].num_slices, 4);  // 32-bit integer datapath
+        EXPECT_EQ(rec.relevant, spec::relevant_mask(4));
+      },
+      /*record_lane_values=*/true);
+  EXPECT_EQ(add_records, 1);
+  // Without the opt-in the step writes no micro-op; the lane planes and the
+  // relevant mask are there either way.
   trace_run(k, lc, mem, [&](const ExecRecord& rec) {
     if (!rec.has_adder_op || rec.instr->op != isa::Opcode::kIAdd) return;
     ++add_records;
-    EXPECT_EQ(rec.adder[0].a, 100u);
-    EXPECT_EQ(rec.adder[0].b, 200u);
-    EXPECT_EQ(rec.adder[0].num_slices, 4);  // 32-bit integer datapath
+    EXPECT_EQ(rec.adder[0].a, 0u);
+    EXPECT_EQ(rec.adder[0].b, 0u);
+    EXPECT_EQ(rec.relevant, spec::relevant_mask(4));
   });
-  EXPECT_EQ(add_records, 1);
+  EXPECT_EQ(add_records, 2);
 }
 
 
@@ -563,7 +577,7 @@ void check_alu(Opcode op, std::uint32_t mask, ValueSource& vs) {
   const WarpState before = snapshot_of(t.warp);
 
   ExecRecord rec;
-  rec.record_results = true;
+  rec.record_lane_values = true;
   ASSERT_EQ(core.step(t.warp, rec), StepStatus::kExecuted);
   EXPECT_EQ(rec.active_mask, mask);
   EXPECT_EQ(rec.has_adder_op, isa::uses_adder(op));
@@ -596,7 +610,7 @@ void check_alu(Opcode op, std::uint32_t mask, ValueSource& vs) {
     EXPECT_EQ(got.num_slices, mop->num_slices);
     const spec::LaneRecord want_lane =
         spec::lane_record(mop->a, mop->b, mop->cin, mop->num_slices);
-    const spec::LaneRecord got_lane = rec.lanes.get(lane);
+    const spec::LaneRecord got_lane = rec.lanes.get(lane, rec.relevant);
     EXPECT_EQ(got_lane.peek_mask, want_lane.peek_mask);
     EXPECT_EQ(got_lane.peek_carries, want_lane.peek_carries);
     EXPECT_EQ(got_lane.actual, want_lane.actual);
@@ -653,7 +667,7 @@ void check_mem(Opcode op, std::uint32_t mask, std::uint8_t size, bool sext,
   const WarpState before = snapshot_of(t.warp);
 
   ExecRecord rec;
-  rec.record_results = true;
+  rec.record_lane_values = true;
   ASSERT_EQ(core.step(t.warp, rec), StepStatus::kExecuted);
   EXPECT_FALSE(rec.has_adder_op);
   EXPECT_TRUE(rec.is_mem);

@@ -95,9 +95,10 @@ TEST(SpecHarness, RecomputeAccountingMatchesOutcome) {
 
 /// Seeded random adder records: Gtid blocks of up to 32 warps revisited
 /// often enough that rows retrain, partial and divergent active masks, a
-/// small PC pool with full-width PCs, and 3/4/7/8-slice adds. Inactive
-/// lanes hold noise. Each active lane's lane bytes are the lane_record
-/// FunctionalCore::step would store for its micro-op.
+/// small PC pool with full-width PCs, and 3/4/7/8-slice adds (one slice
+/// count per record, as an opcode fixes it). Inactive lanes hold noise.
+/// Each active lane's lane bytes are the lane_record FunctionalCore::step
+/// would store for its micro-op.
 std::vector<ExecRecord> random_records(int n) {
   Xoshiro256 rng(0x1a77ce5ULL);
   constexpr std::uint32_t kPcs[] = {0, 1, 2, 3, 5, 8, 13, 17, 21, 34,
@@ -122,21 +123,21 @@ std::vector<ExecRecord> random_records(int n) {
                       : pick == 1 ? 0xffffu >> rng.next_below(16)  // partial
                                   : std::max(rng.next_u32(), 1u);
     rec.has_adder_op = true;
+    const int slices = kSlices[rng.next_below(std::size(kSlices))];
+    rec.relevant = spec::relevant_mask(slices);
     for (int lane = 0; lane < kWarpSize; ++lane) {
       const auto l = static_cast<std::size_t>(lane);
       AdderMicroOp& m = rec.adder[l];
       m.a = operand();
       m.b = operand();
       m.cin = rng.next_below(2) != 0;
-      m.num_slices = kSlices[rng.next_below(std::size(kSlices))];
+      m.num_slices = slices;
       if (((rec.active_mask >> lane) & 1u) != 0) {
         rec.lanes.set(lane, spec::lane_record(m.a, m.b, m.cin, m.num_slices));
       } else {
         const std::uint32_t noise = rng.next_u32();
         rec.lanes.peek_mask[l] = static_cast<std::uint8_t>(noise);
-        rec.lanes.peek_carries[l] = static_cast<std::uint8_t>(noise >> 8);
-        rec.lanes.actual[l] = static_cast<std::uint8_t>(noise >> 16);
-        rec.lanes.relevant[l] = static_cast<std::uint8_t>(noise >> 24);
+        rec.lanes.actual[l] = static_cast<std::uint8_t>(noise >> 8);
       }
     }
   }

@@ -128,7 +128,7 @@ TEST(TraceCacheSerial, RoundTripReplaysIdentically) {
 
   const std::string payload = serialize_capture(cap, key);
   const CanonicalCapture back =
-      deserialize_capture(payload, key, "round trip");
+      deserialize_capture(payload, key, pc.kernel, "round trip");
 
   ASSERT_EQ(back.blocks.size(), cap.blocks.size());
   EXPECT_TRUE(same_bytes(back.final_mem, cap.final_mem));
@@ -435,7 +435,7 @@ TEST_F(TraceCacheHostileTest, ValidCrcButSemanticallyBadPayloadsAreRejected) {
   // payloads are internally consistent bytes with hostile *semantics*).
   const auto expect_reject = [&](CanonicalCapture mutant, const char* what) {
     const std::string payload = serialize_capture(mutant, key);
-    EXPECT_THROW(deserialize_capture(payload, key, "hostile"),
+    EXPECT_THROW(deserialize_capture(payload, key, tc.kernel, "hostile"),
                  sim::SimError)
         << what;
   };
@@ -458,7 +458,7 @@ TEST_F(TraceCacheHostileTest, ValidCrcButSemanticallyBadPayloadsAreRejected) {
   {
     CanonicalCapture m = good;
     for (sim::TraceOp& op : m.blocks.at(0).warps.at(0).ops) {
-      if (op.has_adder() && !(op.is_mem() && !op.is_shared())) {
+      if (op.has_adder()) {
         op.payload = 1u << 30;  // far outside the adder-lane pool
         break;
       }
@@ -467,43 +467,33 @@ TEST_F(TraceCacheHostileTest, ValidCrcButSemanticallyBadPayloadsAreRejected) {
   }
   // Lane-plane rejections, on the first adder op of warp 0 (the tiny
   // kernel's warps are full, so its lanes are all active) and on lane 0.
+  // Its adds are 32-bit integer ops: 4 slices, relevant mask 0x07.
   const auto first_adder = [](CanonicalCapture& m) -> spec::WarpLanes& {
     sim::WarpStream& ws = m.blocks.at(0).warps.at(0);
     for (const sim::TraceOp& op : ws.ops) {
-      if (op.has_adder() && !(op.is_mem() && !op.is_shared())) {
-        return ws.adder_lanes.at(op.payload);
-      }
+      if (op.has_adder()) return ws.adder_lanes.at(op.payload);
     }
     ADD_FAILURE() << "the tiny kernel has no adder op";
     return ws.adder_lanes.at(0);
   };
   {
     CanonicalCapture m = good;
-    first_adder(m).relevant[0] = 0x05;  // not a low mask
-    expect_reject(std::move(m), "relevant byte is no relevant_mask(n)");
-  }
-  {
-    CanonicalCapture m = good;
-    spec::WarpLanes& lanes = first_adder(m);
-    lanes.relevant[0] = 0x07;
-    lanes.actual[0] = 0x08;  // a carry above the add's slices
+    first_adder(m).actual[0] = 0x08;  // a carry above the add's slices
     expect_reject(std::move(m), "actual outside relevant");
   }
   {
     CanonicalCapture m = good;
-    spec::WarpLanes& lanes = first_adder(m);
-    lanes.peek_mask[0] = 0x01;
-    lanes.peek_carries[0] = 0x02;  // a certain carry Peek did not fix
-    expect_reject(std::move(m), "peek carries outside the peek mask");
+    first_adder(m).peek_mask[0] = 0x10;  // a certain carry above them
+    expect_reject(std::move(m), "peek mask outside relevant");
   }
   {
     CanonicalCapture m = good;
     sim::WarpStream& ws = m.blocks.at(0).warps.at(0);
     for (sim::TraceOp& op : ws.ops) {
-      if (op.has_adder() && !(op.is_mem() && !op.is_shared())) {
+      if (op.has_adder()) {
         op.active_mask &= ~1u;  // lane 0's bytes now belong to no lane
         ASSERT_NE(op.active_mask, 0u);
-        ASSERT_NE(ws.adder_lanes.at(op.payload).relevant[0], 0);
+        ws.adder_lanes.at(op.payload).actual[0] = 0x01;  // a valid carry
         break;
       }
     }
@@ -513,12 +503,50 @@ TEST_F(TraceCacheHostileTest, ValidCrcButSemanticallyBadPayloadsAreRejected) {
     CanonicalCapture m = good;
     sim::WarpStream& ws = m.blocks.at(0).warps.at(0);
     for (sim::TraceOp& op : ws.ops) {
-      if (op.has_adder() && !(op.is_mem() && !op.is_shared())) {
+      if (op.has_adder()) {
         op.payload = static_cast<std::uint32_t>(ws.adder_lanes.size());
         break;
       }
     }
     expect_reject(std::move(m), "adder payload one past the pool");
+  }
+  // Ops checked against the kernel: replay indexes its per-PC tables by
+  // pc, and an adder op's relevant mask comes from its opcode.
+  {
+    CanonicalCapture m = good;
+    m.blocks.at(0).warps.at(0).ops.at(0).pc =
+        static_cast<std::uint32_t>(tc.kernel.code.size());
+    expect_reject(std::move(m), "pc one past the kernel");
+  }
+  {
+    CanonicalCapture m = good;
+    for (sim::TraceOp& op : m.blocks.at(0).warps.at(0).ops) {
+      if (op.has_adder()) {
+        op.flags &= static_cast<std::uint8_t>(~sim::TraceOp::kHasAdder);
+        break;
+      }
+    }
+    expect_reject(std::move(m), "adder op without the adder flag");
+  }
+  {
+    CanonicalCapture m = good;
+    for (sim::TraceOp& op : m.blocks.at(0).warps.at(0).ops) {
+      if (!op.has_adder() && !op.is_mem()) {
+        op.flags |= sim::TraceOp::kHasAdder;  // its payload 0 names lanes
+        break;
+      }
+    }
+    expect_reject(std::move(m), "adder flag on a non-adder opcode");
+  }
+  {
+    CanonicalCapture m = good;
+    for (sim::TraceOp& op : m.blocks.at(0).warps.at(0).ops) {
+      if (op.has_adder()) {
+        op.flags |= sim::TraceOp::kIsMem;
+        break;
+      }
+    }
+    expect_reject(std::move(m), "adder op flagged as a memory op");
   }
   {
     CanonicalCapture m = good;
@@ -528,7 +556,7 @@ TEST_F(TraceCacheHostileTest, ValidCrcButSemanticallyBadPayloadsAreRejected) {
   // Wrong embedded key: valid payload for a different identity.
   {
     const std::string payload = serialize_capture(good, key + "-other");
-    EXPECT_THROW(deserialize_capture(payload, key, "hostile"),
+    EXPECT_THROW(deserialize_capture(payload, key, tc.kernel, "hostile"),
                  sim::SimError);
   }
 
