@@ -9,8 +9,8 @@
 #
 # Every binary in the bench directory runs except microbench_adders, whose
 # google-benchmark output is host wall time. Each bench runs in a fresh
-# temporary directory with the sweep/cache environment cleared, so the
-# serial, memo-cached configuration is what is pinned. The set of CSVs is
+# temporary directory with BENCH_TRACE_CACHE unset, so the memo-cached
+# configuration without a disk tier is what is pinned. The set of CSVs is
 # compared too: a bench that stops writing one, or starts writing a new
 # one, fails the net.
 #

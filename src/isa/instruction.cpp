@@ -50,25 +50,14 @@ UnitClass unit_class(Opcode op) {
   }
 }
 
-bool uses_adder(Opcode op) {
-  switch (op) {
-    // Integer adder datapath: adds, subtracts, and subtract-based compares.
-    case Opcode::kIAdd: case Opcode::kISub: case Opcode::kIMad:
-    case Opcode::kIMin: case Opcode::kIMax:
-    case Opcode::kSetEq: case Opcode::kSetNe: case Opcode::kSetLt:
-    case Opcode::kSetLe: case Opcode::kSetGt: case Opcode::kSetGe:
-    // FP32 mantissa adder.
-    case Opcode::kFAdd: case Opcode::kFSub: case Opcode::kFFma:
-    case Opcode::kFMin: case Opcode::kFMax:
-    case Opcode::kFSetLt: case Opcode::kFSetLe: case Opcode::kFSetGt:
-    case Opcode::kFSetGe: case Opcode::kFSetEq: case Opcode::kFSetNe:
-    // FP64 mantissa adder.
-    case Opcode::kDAdd: case Opcode::kDSub: case Opcode::kDFma:
-    case Opcode::kDMin: case Opcode::kDMax:
-      return true;
-    default:
-      return false;
-  }
+bool is_shared(Opcode op) {
+  return op == Opcode::kLdShared || op == Opcode::kStShared ||
+         op == Opcode::kAtomAddShared;
+}
+
+bool is_store(Opcode op) {
+  return op == Opcode::kStGlobal || op == Opcode::kStShared ||
+         op == Opcode::kAtomAddGlobal || op == Opcode::kAtomAddShared;
 }
 
 bool is_add_sub(Opcode op) {

@@ -96,10 +96,13 @@ inline constexpr int kNumPredRegs = 256;  // virtual, like the general regs
 /// Unit that executes an opcode.
 UnitClass unit_class(Opcode op);
 
-/// True if the opcode engages the (speculative) adder datapath: integer
-/// add/sub/min/max/compare, the FMA accumulate, FP add/sub/min/max/compare
-/// mantissa operations (paper Section IV-C).
-bool uses_adder(Opcode op);
+/// True for the memory opcodes that address shared memory; the other
+/// kMem opcodes address global memory.
+bool is_shared(Opcode op);
+
+/// True for the memory opcodes that write memory. An atomic counts as a
+/// store: timing replays its read-modify-write as one.
+bool is_store(Opcode op);
 
 /// True for the pure add/sub opcodes counted as "ALU Add" / "FPU Add" in the
 /// paper's Figure 1 instruction mix.

@@ -24,13 +24,9 @@ void append_op(WarpStream& ws, const ExecRecord& rec, int line_bytes,
   TraceOp t;
   t.pc = rec.pc;
   t.active_mask = rec.active_mask;
-  if (rec.is_mem) t.flags |= TraceOp::kIsMem;
-  if (rec.is_store) t.flags |= TraceOp::kIsStore;
-  if (rec.is_shared) t.flags |= TraceOp::kIsShared;
-  if (rec.has_adder_op) t.flags |= TraceOp::kHasAdder;
-  if (rec.writes_reg) t.flags |= TraceOp::kWritesReg;
 
-  if (rec.is_mem && !rec.is_shared) {
+  const isa::Opcode op = rec.instr->op;
+  if (isa::unit_class(op) == isa::UnitClass::kMem && !isa::is_shared(op)) {
     // Coalesce active lanes into unique cache lines, preserving first-touch
     // order so the replayed LRU state matches lane order exactly. The
     // duplicate probe runs over a sorted shadow of the ≤32 lines (binary

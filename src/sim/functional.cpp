@@ -111,10 +111,6 @@ FunctionalCore::FunctionalCore(const isa::Kernel& kernel,
   if (smem_.size() < static_cast<std::size_t>(kernel.shared_bytes)) {
     smem_.resize(static_cast<std::size_t>(kernel.shared_bytes), 0);
   }
-  units_.reserve(kernel.code.size());
-  for (const Instruction& in : kernel.code) {
-    units_.push_back(isa::unit_class(in.op));
-  }
 }
 
 std::uint32_t FunctionalCore::initial_mask(int warp_in_block) const {
@@ -158,7 +154,7 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
   const std::uint32_t mask = w.stack().mask();
 
   // Reset the scalar fields only: the per-lane arrays are "valid where
-  // active" under the flag that guards them (see ExecRecord), and every
+  // active" for the opcodes that write them (see ExecRecord), and every
   // such lane is rewritten below — zeroing ~800 bytes per instruction
   // would dominate the interpreter.
   rec.instr = &in;
@@ -166,13 +162,7 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
   rec.block_flat = w.block_flat();
   rec.warp_in_block = w.warp_in_block();
   rec.active_mask = mask;
-  rec.unit = units_[pc];
   rec.has_adder_op = false;
-  rec.is_mem = false;
-  rec.is_store = false;
-  rec.is_shared = false;
-  rec.mem_size = 0;
-  rec.writes_reg = false;
 
   // Visits active lanes in ascending order: a plain 0..31 loop when the
   // whole warp is active (about 94% of warp instructions), else by peeling
@@ -205,7 +195,6 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
   auto reg = [&](int lane, std::size_t r) {
     return regs[static_cast<std::size_t>(lane) * stride + r];
   };
-  // Each case that writes a register also sets rec.writes_reg, once.
   auto write_result = [&](int lane, std::uint64_t v) {
     regs[static_cast<std::size_t>(lane) * stride + dst] = v;
     if (record_lane_values) rec.result[static_cast<std::size_t>(lane)] = v;
@@ -273,8 +262,6 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
     });
     if constexpr (std::is_same_v<Result, bool>) {
       w.set_pred_bits(static_cast<int>(dst), mask, bits);
-    } else {
-      rec.writes_reg = true;
     }
   };
 
@@ -391,7 +378,6 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
       break;
 
     case Opcode::kMovImm:
-      rec.writes_reg = true;
       for_lanes([&](int lane) {
         write_result(lane, imm);
       });
@@ -399,7 +385,6 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
       break;
 
     case Opcode::kLdParam:
-      rec.writes_reg = true;
       for_lanes([&](int lane) {
         write_result(lane,
                      launch_.args.at(static_cast<std::size_t>(in.imm)));
@@ -408,7 +393,6 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
       break;
 
     case Opcode::kMovSpecial:
-      rec.writes_reg = true;
       for_lanes([&](int lane) {
         const int lin = w.warp_in_block() * kWarpSize + lane;
         write_result(lane, special_value(in.special, w.block_flat(), lin));
@@ -419,10 +403,6 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
     case Opcode::kLdGlobal:
     case Opcode::kLdShared: {
       const bool shared = in.op == Opcode::kLdShared;
-      rec.is_mem = true;
-      rec.is_shared = shared;
-      rec.writes_reg = true;
-      rec.mem_size = in.msize;
       with_width([&](auto width) {
         using T = decltype(width);
         for_lanes([&](int lane) {
@@ -445,10 +425,6 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
     case Opcode::kStGlobal:
     case Opcode::kStShared: {
       const bool shared = in.op == Opcode::kStShared;
-      rec.is_mem = true;
-      rec.is_store = true;
-      rec.is_shared = shared;
-      rec.mem_size = in.msize;
       with_width([&](auto width) {
         using T = decltype(width);
         for_lanes([&](int lane) {
@@ -472,11 +448,6 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
       // Active lanes serialize in lane order (how GPU atomic units resolve
       // intra-warp contention deterministically in simulators).
       const bool shared = in.op == Opcode::kAtomAddShared;
-      rec.is_mem = true;
-      rec.is_store = true;  // timing: read-modify-write transaction
-      rec.is_shared = shared;
-      rec.writes_reg = true;
-      rec.mem_size = in.msize;
       with_width([&](auto width) {
         using T = decltype(width);
         for_lanes([&](int lane) {
@@ -502,7 +473,6 @@ StepStatus FunctionalCore::step(WarpContext& w, ExecRecord& rec) {
 
     case Opcode::kShflDown:
     case Opcode::kShflIdx: {
-      rec.writes_reg = true;
       // Gather all active lanes' source values first: the exchange is
       // simultaneous, and inactive source lanes yield the reader's own value
       // (the *_sync semantics with the current active mask).

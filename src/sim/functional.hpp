@@ -89,15 +89,16 @@ class WarpContext {
 };
 
 /// What one warp-instruction did — the observer payload for trace mode and
-/// the scheduling information for timing mode.
+/// the input of capture. What kind of op it was (unit, memory, store,
+/// shared, register write) is a fact of its opcode, read from `instr`.
 struct ExecRecord {
   const isa::Instruction* instr = nullptr;
   std::uint32_t pc = 0;
   int block_flat = 0;
   int warp_in_block = 0;
   std::uint32_t active_mask = 0;
-  isa::UnitClass unit = isa::UnitClass::kControl;
 
+  /// adder_slices(instr->op) != 0, set by step() for observers.
   bool has_adder_op = false;
   /// spec::relevant_mask of the adder op's slice count, which its opcode
   /// fixes: the bits of a 7-bit carry pattern the add owns. Valid when
@@ -112,21 +113,16 @@ struct ExecRecord {
   /// record_lane_values.
   std::array<AdderMicroOp, kWarpSize> adder{};
 
-  bool is_mem = false;
-  bool is_store = false;
-  bool is_shared = false;
-  std::uint8_t mem_size = 0;
+  /// Each active lane's address; valid where active, for memory opcodes.
   std::array<std::uint64_t, kWarpSize> mem_addr{};
 
-  bool writes_reg = false;  ///< instruction writes a general register
-
   /// Input knob, not an output: when set by the caller, `result` receives
-  /// the destination value written per lane (valid where active and
-  /// writes_reg) and `adder` each active adder lane's micro-op. Off by
-  /// default: capture and the lattice read neither, and skipping the
-  /// per-lane stores measurably speeds up the functional step. Observers
-  /// that read per-lane operands or results (the Figure 2 tracer, the
-  /// related-adder and ablation benches) turn it on.
+  /// the destination value written per lane (valid where active, for
+  /// opcodes that write a register) and `adder` each active adder lane's
+  /// micro-op. Off by default: capture and the lattice read neither, and
+  /// skipping the per-lane stores measurably speeds up the functional
+  /// step. Observers that read per-lane operands or results (the Figure 2
+  /// tracer, the related-adder and ablation benches) turn it on.
   bool record_lane_values = false;
   std::array<std::uint64_t, kWarpSize> result{};
 };
@@ -144,7 +140,7 @@ class FunctionalCore {
                  GlobalMemory& gmem, std::vector<std::uint8_t>& smem);
 
   /// Executes the next instruction of `w` (respecting barriers). `rec` is
-  /// filled with what happened (only the fields its flags mark valid).
+  /// filled with what happened (only the fields its opcode makes valid).
   StepStatus step(WarpContext& w, ExecRecord& rec);
 
   /// Clears the barrier flag of a warp (block controller releases barriers).
@@ -164,9 +160,6 @@ class FunctionalCore {
   const LaunchConfig& launch_;
   GlobalMemory& gmem_;
   std::vector<std::uint8_t>& smem_;
-  /// Unit class of each instruction, indexed by pc, so the interpreter's
-  /// hot loop never re-classifies an opcode.
-  std::vector<isa::UnitClass> units_;
 };
 
 }  // namespace st2::sim

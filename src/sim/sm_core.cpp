@@ -55,6 +55,7 @@ SmCore::SmCore(const GpuConfig& cfg, const isa::Kernel& kernel,
     : cfg_(cfg),
       kernel_(kernel),
       work_(work),
+      mix_(mix_table()),
       l1_(cfg.l1_kb, cfg.l1_ways, cfg.line_bytes),
       l2_(cfg.l2_kb, cfg.l2_ways, cfg.line_bytes),
       crf_(spec::make_predictor(cfg.predictor, cfg.seed)),
@@ -114,9 +115,12 @@ SmCore::SmCore(const GpuConfig& cfg, const isa::Kernel& kernel,
     StaticInfo si;
     si.deps = deps_of(in);
     si.timing = op_timing(cfg, in.op);
-    si.unit = isa::unit_class(in.op);
-    si.fu = fu_of(si.unit);
+    si.op = in.op;
+    si.fu = fu_of(isa::unit_class(in.op));
     si.is_bar = in.op == Opcode::kBar;
+    si.is_mem = isa::unit_class(in.op) == UnitClass::kMem;
+    si.is_store = isa::is_store(in.op);
+    si.is_shared = isa::is_shared(in.op);
     si.is_atomic =
         in.op == Opcode::kAtomAddGlobal || in.op == Opcode::kAtomAddShared;
     if (const int slices = adder_slices(in.op); slices != 0) {
@@ -137,60 +141,8 @@ SmCore::SmCore(const GpuConfig& cfg, const isa::Kernel& kernel,
     static_.push_back(si);
   }
 
-  // Counter interning support: the visit-position -> address table is built
-  // eagerly (cheap), the per-(pc, variant) programs lazily on first issue —
-  // most PCs only ever run one flag variant, and an SM's kernel may be far
-  // larger than the code its blocks execute.
-  counter_slots_.reserve(64);
-  for_each_counter(counters_, [this](const char*, std::uint64_t& v) {
-    counter_slots_.push_back(&v);
-  });
-  counter_prog_.assign(kernel.code.size() * 4, CounterProgram{});
-
   resident_.reserve(static_cast<std::size_t>(cfg.max_blocks_per_sm));
   admit_blocks();
-}
-
-void SmCore::build_counter_program(std::uint32_t pc, int variant,
-                                   CounterProgram& cp) const {
-  // Intern the instruction-mix accounting for (pc, writes_reg, is_shared)
-  // by differential evaluation of count_instruction: with one active thread
-  // the deltas are per_thread + per_warp, with two they are 2*per_thread +
-  // per_warp, so two synthetic records solve for both components exactly.
-  // count_instruction stays the single source of truth; the interned program
-  // cannot drift from it.
-  ExecRecord rec;
-  rec.instr = &kernel_.code[pc];
-  rec.pc = pc;
-  rec.unit = static_[pc].unit;
-  rec.writes_reg = (variant & 1) != 0;
-  rec.is_shared = (variant & 2) != 0;
-  EventCounters c1{};
-  EventCounters c2{};
-  rec.active_mask = 0x1;
-  count_instruction(rec, c1);
-  rec.active_mask = 0x3;
-  count_instruction(rec, c2);
-  const std::size_t n_counters = counter_slots_.size();
-  std::vector<std::uint64_t> v1(n_counters);
-  std::vector<std::uint64_t> v2(n_counters);
-  std::size_t k = 0;
-  for_each_counter(c1,
-                   [&](const char*, const std::uint64_t& x) { v1[k++] = x; });
-  k = 0;
-  for_each_counter(c2,
-                   [&](const char*, const std::uint64_t& x) { v2[k++] = x; });
-  cp.n = 0;
-  for (std::size_t idx = 0; idx < n_counters; ++idx) {
-    const std::uint64_t per_thread = v2[idx] - v1[idx];
-    const std::uint64_t per_warp = v1[idx] - per_thread;
-    if (per_thread == 0 && per_warp == 0) continue;
-    ST2_ASSERT(cp.n < static_cast<int>(cp.entries.size()));
-    ST2_ASSERT(per_thread <= 0xffff && per_warp <= 0xffff);
-    cp.entries[static_cast<std::size_t>(cp.n++)] = CounterProgram::Entry{
-        static_cast<std::uint16_t>(idx), static_cast<std::uint16_t>(per_thread),
-        static_cast<std::uint16_t>(per_warp)};
-  }
 }
 
 bool SmCore::admit_blocks() {
@@ -482,10 +434,10 @@ bool SmCore::warp_ready(int w, const TraceOp** out_op) {
   return true;
 }
 
-int SmCore::mem_latency(const WarpStream& ws, const TraceOp& op, bool atomic,
-                        int* occupancy) {
+int SmCore::mem_latency(const WarpStream& ws, const TraceOp& op,
+                        const StaticInfo& si, int* occupancy) {
   *occupancy = cfg_.mem_interval;
-  if (op.is_shared()) {
+  if (si.is_shared) {
     // smem_accesses itself is counted by count_instruction at issue (shared
     // with trace mode — counting it here too double-charged smem energy).
     counters_.mem_lat_smem_cycles +=
@@ -502,12 +454,12 @@ int SmCore::mem_latency(const WarpStream& ws, const TraceOp& op, bool atomic,
         ws.lines[op.payload + static_cast<std::size_t>(i)] *
         static_cast<unsigned>(cfg_.line_bytes);
     ++counters_.l1_accesses;
-    const bool l1_hit = l1_.access(addr, op.is_store());
+    const bool l1_hit = l1_.access(addr, si.is_store);
     if (!l1_hit) {
       ++counters_.l1_misses;
       ++counters_.l2_accesses;
       counters_.noc_flits += 2;  // request + response across the crossbar
-      const bool l2_hit = l2_.access(addr, op.is_store());
+      const bool l2_hit = l2_.access(addr, si.is_store);
       if (!l2_hit) {
         ++counters_.l2_misses;
         ++counters_.dram_accesses;
@@ -526,14 +478,14 @@ int SmCore::mem_latency(const WarpStream& ws, const TraceOp& op, bool atomic,
     bucket += static_cast<std::uint64_t>(lat);
     return lat;
   };
-  if (atomic) {
+  if (si.is_atomic) {
     // Read-modify-write at the memory partition; contending lanes on one
     // line serialize there, which the per-line transaction count plus the
     // L2 round trip approximates.
     return charge(cfg_.l1_latency + cfg_.l2_latency / 2 +
                   (n - 1) * cfg_.mem_interval);
   }
-  if (op.is_store()) {
+  if (si.is_store) {
     // Fire-and-forget write-through; the store unit hides the latency.
     return charge(cfg_.mem_interval);
   }
@@ -630,30 +582,15 @@ void SmCore::issue(int sched, int w, const TraceOp& op) {
   const WarpStream& ws = *slot_stream_[ws_idx];
   const StaticInfo& si = static_[op.pc];
 
-  // Instruction-mix accounting via the interned per-PC counter program —
-  // the same deltas count_instruction produces, without re-deriving the
-  // opcode/unit breakdown on every issue.
-  const auto threads =
-      static_cast<std::uint64_t>(std::popcount(op.active_mask));
-  const int variant =
-      static_cast<int>(((op.flags >> 4) & 1u) + ((op.flags >> 1) & 2u));
-  CounterProgram& cp =
-      counter_prog_[static_cast<std::size_t>(op.pc) * 4 +
-                    static_cast<std::size_t>(variant)];
-  if (cp.n < 0) build_counter_program(op.pc, variant, cp);
-  for (int i = 0; i < cp.n; ++i) {
-    const CounterProgram::Entry& e = cp.entries[static_cast<std::size_t>(i)];
-    *counter_slots_[e.idx] += e.per_thread * threads + e.per_warp;
-  }
+  // Instruction-mix accounting: the same deltas trace mode counts.
+  mix_.count(si.op, op.active_mask, counters_);
 
   OpTiming t = si.timing;
-  if (op.is_mem()) {
-    t.latency = mem_latency(ws, op, si.is_atomic, &t.interval);
-  }
+  if (si.is_mem) t.latency = mem_latency(ws, op, si, &t.interval);
   t.latency += si.rf_conflict_extra;
   t.interval += si.rf_conflict_extra;
   int st2_extra = 0;
-  if (cfg_.st2_enabled && op.has_adder()) {
+  if (cfg_.st2_enabled && si.relevant != 0) {
     st2_extra = speculate(ws, op, t.latency);
     t.latency += st2_extra;
     t.interval += st2_extra;

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -41,30 +40,22 @@
 
 namespace st2::sim {
 
-/// One executed warp instruction, reduced to what timing replay needs.
-/// Payload (coalesced cache lines for global memory ops, the lane planes
-/// of adder ops) lives in the owning WarpStream's pools.
-struct TraceOp {
-  static constexpr std::uint8_t kIsMem = 1u << 0;
-  static constexpr std::uint8_t kIsStore = 1u << 1;
-  static constexpr std::uint8_t kIsShared = 1u << 2;
-  static constexpr std::uint8_t kHasAdder = 1u << 3;
-  static constexpr std::uint8_t kWritesReg = 1u << 4;
+class MixTable;
 
+/// One executed warp instruction, reduced to what timing replay needs.
+/// What kind of op it is (memory, store, shared, adder) is a fact of the
+/// opcode at `pc`, not stored per op. Payload (coalesced cache lines for
+/// global memory ops, the lane planes of adder ops) lives in the owning
+/// WarpStream's pools.
+struct TraceOp {
   std::uint32_t pc = 0;
   std::uint32_t active_mask = 0;
-  std::uint8_t flags = 0;
   std::uint16_t mem_lines = 0;  ///< coalesced line count (global mem ops)
   /// Index into the stream's pools: the first of `mem_lines` lines of a
   /// global memory op, or the WarpLanes of an adder op.
   std::uint32_t payload = 0;
-
-  bool is_mem() const { return (flags & kIsMem) != 0; }
-  bool is_store() const { return (flags & kIsStore) != 0; }
-  bool is_shared() const { return (flags & kIsShared) != 0; }
-  bool has_adder() const { return (flags & kHasAdder) != 0; }
-  bool writes_reg() const { return (flags & kWritesReg) != 0; }
 };
+static_assert(sizeof(TraceOp) <= 16, "one op per 16 bytes of replay stream");
 
 /// The recorded instruction stream of one warp, in program-execution order.
 struct WarpStream {
@@ -156,38 +147,22 @@ class SmCore {
     std::uint8_t carries;
   };
 
-  /// Per-PC scheduling facts, precomputed once so the per-cycle readiness
-  /// polls and issue path never re-derive them.
+  /// Per-PC scheduling facts and op kind, precomputed once so the
+  /// per-cycle readiness polls and issue path never re-derive them.
   struct StaticInfo {
     Deps deps;
     OpTiming timing;
-    isa::UnitClass unit;
+    isa::Opcode op;
     FuKind fu;
     bool is_bar = false;
+    bool is_mem = false;
+    bool is_store = false;   ///< stores and atomics
+    bool is_shared = false;  ///< shared-memory ops
     bool is_atomic = false;
     /// spec::relevant_mask of the opcode's adder slice count; 0 when the
     /// opcode engages no adder.
     std::uint8_t relevant = 0;
     int rf_conflict_extra = 0;  ///< operand-collector bank serialization
-  };
-
-  /// Interned instruction-mix accounting: the exact counter deltas
-  /// count_instruction would produce for one issued op, reduced to a sparse
-  /// list of (counter, per-thread coefficient, per-warp constant) entries.
-  /// Built lazily on a PC's first issue by *differential evaluation* of
-  /// count_instruction itself (two synthetic records per variant), so
-  /// count_instruction stays the single source of truth and the program
-  /// cannot drift from it. Variants are keyed by the two record flags the
-  /// accounting reads (writes_reg, is_shared); everything else it reads is
-  /// static per PC.
-  struct CounterProgram {
-    struct Entry {
-      std::uint16_t idx;         ///< for_each_counter visit position
-      std::uint16_t per_thread;  ///< scaled by popcount(active_mask)
-      std::uint16_t per_warp;    ///< charged once per issued op
-    };
-    std::array<Entry, 12> entries{};
-    int n = -1;  ///< entry count; -1 = not built yet
   };
 
   bool admit_blocks();
@@ -201,10 +176,8 @@ class SmCore {
   bool scan_candidates(int sched, int lo, int hi, int skip,
                        const TraceOp** op);
   void issue(int sched, int w, const TraceOp& op);
-  void build_counter_program(std::uint32_t pc, int variant,
-                             CounterProgram& cp) const;
-  int mem_latency(const WarpStream& ws, const TraceOp& op, bool atomic,
-                  int* occupancy);
+  int mem_latency(const WarpStream& ws, const TraceOp& op,
+                  const StaticInfo& si, int* occupancy);
   int speculate(const WarpStream& ws, const TraceOp& op, int latency);
   void release_barriers();
   void commit_crf_writes();
@@ -280,11 +253,7 @@ class SmCore {
   const isa::Kernel& kernel_;
   const SmWorkload& work_;
   std::vector<StaticInfo> static_;  ///< indexed by pc
-  /// Indexed by pc*4 + (writes_reg | is_shared<<1) — see CounterProgram.
-  std::vector<CounterProgram> counter_prog_;
-  /// for_each_counter visit position -> counter address, for applying
-  /// CounterProgram entries without re-deriving the field each issue.
-  std::vector<std::uint64_t*> counter_slots_;
+  const MixTable& mix_;  ///< instruction-mix accounting, shared by all SMs
   Cache l1_;
   Cache l2_;  ///< private tag array: keeps SMs independent (see engine.hpp)
   /// The selected carry-prediction policy (cfg.predictor; the paper's CRF

@@ -1,19 +1,18 @@
 #include "src/sim/trace_run.hpp"
 
-#include <bit>
-#include <vector>
+#include <type_traits>
 
 #include "src/common/contracts.hpp"
+#include "src/sim/adder_ops.hpp"
+#include "src/sim/op_timing.hpp"
 
 namespace st2::sim {
 
-void count_instruction(const ExecRecord& rec, EventCounters& c) {
-  const int threads = std::popcount(rec.active_mask);
-  const isa::Opcode op = rec.instr->op;
+void count_instruction(isa::Opcode op, int threads, EventCounters& c) {
   c.warp_instructions += 1;
   c.thread_instructions += static_cast<std::uint64_t>(threads);
 
-  const bool adder = isa::uses_adder(op);
+  const bool adder = adder_slices(op) != 0;
   const bool addsub = isa::is_add_sub(op);
   if (op == isa::Opcode::kIMad) c.fused_int_mul_ops += threads;
   if (op == isa::Opcode::kFFma) c.fused_fp_mul_ops += threads;
@@ -22,7 +21,7 @@ void count_instruction(const ExecRecord& rec, EventCounters& c) {
     c.int_div_ops += threads;
   }
   if (op == isa::Opcode::kFDiv) c.fp_div_ops += threads;
-  switch (rec.unit) {
+  switch (isa::unit_class(op)) {
     case isa::UnitClass::kAlu:
       c.alu_ops += threads;
       if (adder) c.alu_adder_ops += threads;
@@ -61,7 +60,7 @@ void count_instruction(const ExecRecord& rec, EventCounters& c) {
     case isa::UnitClass::kMem:
       c.mem_ops += threads;
       c.fig1_other += threads;
-      if (!rec.is_shared) {
+      if (!isa::is_shared(op)) {
         c.gmem_insts += 1;
       } else {
         c.smem_accesses += 1;
@@ -95,7 +94,42 @@ void count_instruction(const ExecRecord& rec, EventCounters& c) {
     }
   }();
   c.regfile_reads += static_cast<std::uint64_t>(reads * threads);
-  if (rec.writes_reg) c.regfile_writes += static_cast<std::uint64_t>(threads);
+  isa::Instruction in;
+  in.op = op;
+  if (deps_of(in).write_reg >= 0) {
+    c.regfile_writes += static_cast<std::uint64_t>(threads);
+  }
+}
+
+MixTable::MixTable() {
+  static_assert(std::is_standard_layout_v<EventCounters> &&
+                std::is_trivially_copyable_v<EventCounters>);
+  for (std::size_t o = 0; o < rows_.size(); ++o) {
+    const auto op = static_cast<isa::Opcode>(o);
+    EventCounters one{}, two{};
+    count_instruction(op, 1, one);
+    count_instruction(op, 2, two);
+    Row& row = rows_[o];
+    for_each_counter(one, [&](const char*, const std::uint64_t& v1) {
+      const auto offset = static_cast<std::uint16_t>(
+          reinterpret_cast<const unsigned char*>(&v1) -
+          reinterpret_cast<const unsigned char*>(&one));
+      const std::uint64_t v2 = get(two, offset);
+      if (v1 == 0 && v2 == 0) return;
+      const std::uint64_t per_thread = v2 - v1;
+      const std::uint64_t per_warp = v1 - per_thread;
+      ST2_ASSERT(row.n < static_cast<int>(row.entries.size()));
+      ST2_ASSERT(per_thread <= 0xffff && per_warp <= 0xffff);
+      row.entries[static_cast<std::size_t>(row.n++)] =
+          Entry{offset, static_cast<std::uint16_t>(per_thread),
+                static_cast<std::uint16_t>(per_warp)};
+    });
+  }
+}
+
+const MixTable& mix_table() {
+  static const MixTable table;
+  return table;
 }
 
 TraceResult trace_run(const isa::Kernel& kernel, const LaunchConfig& launch,

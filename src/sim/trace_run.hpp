@@ -14,7 +14,10 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <vector>
 
@@ -33,89 +36,65 @@ struct TraceResult {
   EventCounters counters;
 };
 
-/// Classifies one executed record into the instruction-mix counters
-/// (shared between trace and timing modes).
-void count_instruction(const ExecRecord& rec, EventCounters& c);
+/// Adds one warp instruction of `op` with `threads` active threads to the
+/// instruction-mix counters: the one definition of the mix, which trace and
+/// timing mode both apply through MixTable.
+void count_instruction(isa::Opcode op, int threads, EventCounters& c);
 
-namespace detail {
-
-/// Interned instruction-mix accounting for the capture hot loop.
+/// count_instruction interned per opcode.
 ///
-/// count_instruction reads only static facts of a record (opcode, unit,
-/// is_shared, writes_reg) plus the active-thread count, and every counter it
-/// bumps is affine in that count: delta = per_warp + per_thread * threads.
-/// So the first record seen for a (pc, writes_reg, is_shared) key runs
-/// count_instruction twice against scratch counters (1 thread, then 2) to
-/// solve for the coefficients, and every later record applies the memoized
-/// entries — a handful of multiply-adds instead of the full opcode/unit
-/// switch cascade per executed instruction. Byte-identical totals: the
-/// per-entry sums are the exact same integer additions, just batched.
-class MixInterner {
+/// Every counter count_instruction bumps is affine in the thread count:
+/// delta = per_warp + per_thread * threads. So the table runs it twice per
+/// opcode against scratch counters (1 thread, then 2) to solve for the
+/// coefficients, and counting an instruction applies that opcode's handful
+/// of multiply-adds instead of the opcode/unit switch cascade: the same
+/// integer additions, just batched. Built once (mix_table()) and immutable
+/// after, so replay threads share it.
+class MixTable {
  public:
-  MixInterner(std::size_t code_size, EventCounters& target)
-      : progs_(code_size * 4) {
-    for_each_counter(target,
-                     [this](const char*, std::uint64_t& v) {
-                       slots_.push_back(&v);
-                     });
-  }
+  MixTable();
 
-  void count(const ExecRecord& rec) {
-    const std::size_t variant = (rec.writes_reg ? 1u : 0u) +
-                                (rec.is_shared ? 2u : 0u);
-    Prog& p = progs_[static_cast<std::size_t>(rec.pc) * 4 + variant];
-    if (p.n < 0) build(rec, p);
+  /// Adds one warp instruction of `op` with the lanes of `active_mask` to
+  /// `c`; equal to count_instruction(op, popcount(active_mask), c).
+  void count(isa::Opcode op, std::uint32_t active_mask,
+             EventCounters& c) const {
     const auto threads =
-        static_cast<std::uint64_t>(std::popcount(rec.active_mask));
-    for (int i = 0; i < p.n; ++i) {
-      const Prog::Entry& e = p.entries[static_cast<std::size_t>(i)];
-      *slots_[e.idx] += e.per_warp + e.per_thread * threads;
+        static_cast<std::uint64_t>(std::popcount(active_mask));
+    const Row& row = rows_[static_cast<std::size_t>(op)];
+    for (int i = 0; i < row.n; ++i) {
+      const Entry& e = row.entries[static_cast<std::size_t>(i)];
+      add(c, e.offset, e.per_warp + e.per_thread * threads);
     }
   }
 
  private:
-  struct Prog {
-    struct Entry {
-      std::uint32_t idx;
-      std::uint64_t per_thread;
-      std::uint64_t per_warp;
-    };
-    static constexpr int kMaxEntries = 12;
-    std::int32_t n = -1;  ///< entry count; -1 = not built yet
-    Entry entries[kMaxEntries];
+  struct Entry {
+    std::uint16_t offset;      ///< byte offset of the counter in EventCounters
+    std::uint16_t per_thread;  ///< scaled by popcount(active_mask)
+    std::uint16_t per_warp;    ///< charged once per warp instruction
+  };
+  struct Row {
+    int n = 0;
+    std::array<Entry, 12> entries{};
   };
 
-  void build(const ExecRecord& rec, Prog& p) {
-    EventCounters one{}, two{};
-    ExecRecord probe = rec;
-    probe.active_mask = 0x1;  // 1 thread
-    count_instruction(probe, one);
-    probe.active_mask = 0x3;  // 2 threads
-    count_instruction(probe, two);
-    p.n = 0;
-    // for_each_counter visits in one fixed order — the same order the slot
-    // pointers were captured in — so position pairs the two snapshots.
-    std::vector<std::uint64_t> twos;
-    twos.reserve(slots_.size());
-    for_each_counter(two,
-                     [&](const char*, std::uint64_t& v) { twos.push_back(v); });
-    std::uint32_t idx = 0;
-    for_each_counter(one, [&](const char*, std::uint64_t& v1) {
-      const std::uint64_t v2 = twos[idx];
-      if (v1 != 0 || v2 != 0) {
-        ST2_ASSERT(p.n < Prog::kMaxEntries);
-        const std::uint64_t per_thread = v2 - v1;
-        p.entries[p.n++] = Prog::Entry{idx, per_thread, v1 - per_thread};
-      }
-      ++idx;
-    });
+  /// The counter at byte `offset` of `c`, read and written as bytes.
+  static std::uint64_t get(const EventCounters& c, std::size_t offset) {
+    std::uint64_t v;
+    std::memcpy(&v, reinterpret_cast<const unsigned char*>(&c) + offset,
+                sizeof v);
+    return v;
+  }
+  static void add(EventCounters& c, std::size_t offset, std::uint64_t delta) {
+    const std::uint64_t v = get(c, offset) + delta;
+    std::memcpy(reinterpret_cast<unsigned char*>(&c) + offset, &v, sizeof v);
   }
 
-  std::vector<Prog> progs_;  ///< indexed by pc * 4 + variant
-  std::vector<std::uint64_t*> slots_;
+  std::array<Row, static_cast<std::size_t>(isa::Opcode::kOpcodeCount)> rows_;
 };
 
-}  // namespace detail
+/// The one MixTable, built on first use.
+const MixTable& mix_table();
 
 /// Runs `kernel` over the whole grid functionally, calling `observer` (any
 /// callable taking const ExecRecord&) once per executed warp instruction.
@@ -131,7 +110,7 @@ TraceResult trace_run_observed(const isa::Kernel& kernel,
   TraceResult result;
   ExecRecord rec;
   rec.record_lane_values = record_lane_values;
-  detail::MixInterner mix(kernel.code.size(), result.counters);
+  const MixTable& mix = mix_table();
 
   // One core and one set of warp contexts serve every block: the core holds
   // no block state (block identity lives in the contexts), so blocks reuse
@@ -168,7 +147,7 @@ TraceResult trace_run_observed(const isa::Kernel& kernel,
               core.step(ctxs[static_cast<std::size_t>(wi)], rec);
           if (st == StepStatus::kExecuted) {
             progressed = true;
-            mix.count(rec);
+            mix.count(rec.instr->op, rec.active_mask, result.counters);
             observer(rec);
             continue;
           }

@@ -120,7 +120,7 @@ std::string capture_key(const sim::GpuConfig& cfg, const isa::Kernel& kernel,
   std::uint64_t khash = snapshot::fnv1a64(kernel.disassemble());
   khash = snapshot::fnv1a64(kernel.name.data(), kernel.name.size(),
                             khash ^ 0x9e3779b97f4a7c15ULL);
-  std::string key = "st2cap-v3 kernel=" + kernel.name +
+  std::string key = "st2cap-v4 kernel=" + kernel.name +
                     " khash=" + hex16(khash) +
                     " shared=" + std::to_string(kernel.shared_bytes) +
                     " regs=" + std::to_string(kernel.regs_used) +
@@ -151,7 +151,6 @@ std::string serialize_capture(const CanonicalCapture& cap,
       for (const sim::TraceOp& op : ws.ops) {
         w.u32(op.pc);
         w.u32(op.active_mask);
-        w.u8(op.flags);
         w.u16(op.mem_lines);
         w.u32(op.payload);
       }
@@ -185,9 +184,6 @@ CanonicalCapture deserialize_capture(std::string_view payload,
   const std::uint32_t num_blocks = r.u32();
   r.require(num_blocks >= 1, "capture has no blocks");
   cap.blocks.resize(num_blocks);
-  constexpr std::uint8_t kAllFlags =
-      sim::TraceOp::kIsMem | sim::TraceOp::kIsStore | sim::TraceOp::kIsShared |
-      sim::TraceOp::kHasAdder | sim::TraceOp::kWritesReg;
   for (std::uint32_t b = 0; b < num_blocks; ++b) {
     sim::BlockWork& bw = cap.blocks[b];
     bw.block_flat = static_cast<int>(b);  // canonical form: flat order
@@ -205,18 +201,13 @@ CanonicalCapture deserialize_capture(std::string_view payload,
         sim::TraceOp& op = ws.ops[oi];
         op.pc = r.u32();
         op.active_mask = r.u32();
-        op.flags = r.u8();
         op.mem_lines = r.u16();
         op.payload = r.u32();
-        r.require((op.flags & ~kAllFlags) == 0, "unknown trace-op flag bits");
         r.require(op.active_mask != 0, "trace op with no active lanes");
-        // Replay indexes its per-PC tables by op.pc, and an adder op's
-        // relevant mask comes from its opcode.
+        // Replay indexes its per-PC tables by op.pc, and takes the op's
+        // kind from the opcode there.
         r.require(op.pc < kernel.code.size(),
                   "trace op pc outside the kernel");
-        r.require(
-            op.has_adder() == (sim::adder_slices(kernel.code[op.pc].op) != 0),
-            "adder flag disagrees with the opcode");
       }
       const std::uint32_t num_lines = r.u32();
       r.require(num_lines <= payload.size(),
@@ -234,17 +225,15 @@ CanonicalCapture deserialize_capture(std::string_view payload,
       // the pools just read, so corrupt streams surface here as a typed
       // rejection instead of out-of-range access in SmCore.
       for (const sim::TraceOp& op : ws.ops) {
-        if (op.has_adder()) {
-          // Replay reads an adder op's payload as lanes, whatever its
-          // other flags say.
-          r.require(!op.is_mem(), "adder op flagged as a memory op");
+        const isa::Opcode opcode = kernel.code[op.pc].op;
+        if (const int slices = sim::adder_slices(opcode); slices != 0) {
           r.require(op.payload < ws.adder_lanes.size(),
                     "adder op references lanes outside the pool");
           r.require(valid_lanes(ws.adder_lanes[op.payload], op.active_mask,
-                                spec::relevant_mask(sim::adder_slices(
-                                    kernel.code[op.pc].op))),
+                                spec::relevant_mask(slices)),
                     "adder lane planes are malformed");
-        } else if (op.is_mem() && !op.is_shared()) {
+        } else if (isa::unit_class(opcode) == isa::UnitClass::kMem &&
+                   !isa::is_shared(opcode)) {
           r.require(op.mem_lines <= sim::kWarpSize,
                     "coalesced line count exceeds the warp width");
           r.require(static_cast<std::size_t>(op.payload) + op.mem_lines <=

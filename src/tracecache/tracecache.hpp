@@ -108,10 +108,10 @@ std::string serialize_capture(const CanonicalCapture& cap,
                               std::string_view key);
 
 /// Parses and validates a serialized capture of `kernel`. Every structural
-/// and semantic expectation — embedded key == `expected_key`, in-bounds
-/// stream indices, legal flag bits, every op's pc inside `kernel.code`, the
-/// adder flag agreeing with the opcode, lane planes under the opcode's
-/// relevant mask and zero in inactive lanes — is checked; any violation
+/// and semantic expectation — embedded key == `expected_key`, every op's pc
+/// inside `kernel.code`, in-bounds stream indices for the kind of op the
+/// opcode at that pc is, lane planes under the opcode's relevant mask and
+/// zero in inactive lanes — is checked; any violation
 /// throws SimError(kSnapshotInvalid) carrying `context`, never indexes out
 /// of range.
 CanonicalCapture deserialize_capture(std::string_view payload,

@@ -79,20 +79,26 @@ TEST(CaptureEquivalence, AllWorkloadsMatchTraceRun) {
     EXPECT_TRUE(ref.validate(*ref.mem));
 
     // Capture + replay on the ST2 machine (the payload-bearing capture the
-    // trace cache canonicalizes).
+    // trace cache canonicalizes), on one replay thread and on four: replay
+    // threads share the one instruction-mix table.
     workloads::PreparedCase pc = workloads::prepare_case(info.name, kScale);
     const GpuConfig cfg = GpuConfig::st2();
     ExecutionEngine eng(cfg, EngineOptions{1});
-    EventCounters got;
+    ExecutionEngine eng4(cfg, EngineOptions{4});
+    EventCounters got, got4;
     for (const auto& lc : pc.launches) {
       const GridCapture cap = capture_grid(cfg, pc.kernel, lc, *pc.mem);
       got += eng.replay(pc.kernel, cap).chip;
+      got4 += eng4.replay(pc.kernel, cap).chip;
     }
 
-    const Mix mg = Mix::of(got), mw = Mix::of(want);
-    EXPECT_TRUE(mg == mw) << "replayed instruction mix diverges from trace "
-                             "mode: "
-                          << mg.diff(mw);
+    const Mix mw = Mix::of(want);
+    for (const EventCounters* c : {&got, &got4}) {
+      const Mix mg = Mix::of(*c);
+      EXPECT_TRUE(mg == mw) << "replayed instruction mix diverges from "
+                               "trace mode ("
+                            << (c == &got ? 1 : 4) << " jobs): " << mg.diff(mw);
+    }
     EXPECT_TRUE(pc.validate(*pc.mem));
 
     // Architectural state: the capture pass applies side effects exactly

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include "src/isa/instruction.hpp"
+#include "src/sim/adder_ops.hpp"
 
 namespace st2::isa {
 namespace {
+
+using sim::adder_slices;
 
 std::vector<Opcode> all_opcodes() {
   std::vector<Opcode> v;
@@ -22,14 +25,14 @@ TEST(Isa, EveryOpcodeHasAMnemonic) {
 TEST(Isa, AddSubImpliesAdderDatapath) {
   for (Opcode op : all_opcodes()) {
     if (is_add_sub(op)) {
-      EXPECT_TRUE(uses_adder(op)) << mnemonic(op);
+      EXPECT_NE(adder_slices(op), 0) << mnemonic(op);
     }
   }
 }
 
 TEST(Isa, AdderOpsLiveInArithmeticUnits) {
   for (Opcode op : all_opcodes()) {
-    if (!uses_adder(op)) continue;
+    if (adder_slices(op) == 0) continue;
     const UnitClass u = unit_class(op);
     EXPECT_TRUE(u == UnitClass::kAlu || u == UnitClass::kFpu ||
                 u == UnitClass::kDpu)
@@ -46,17 +49,24 @@ TEST(Isa, MemoryOpcodesClassified) {
   EXPECT_EQ(unit_class(Opcode::kIDiv), UnitClass::kIntMulDiv);
   EXPECT_EQ(unit_class(Opcode::kFDiv), UnitClass::kFpMulDiv);
   EXPECT_EQ(unit_class(Opcode::kDFma), UnitClass::kDpu);
+  // An atomic is a store; shared and store name memory opcodes only.
+  EXPECT_TRUE(is_store(Opcode::kAtomAddGlobal));
+  EXPECT_TRUE(is_shared(Opcode::kAtomAddShared));
+  EXPECT_FALSE(is_store(Opcode::kLdShared));
+  EXPECT_FALSE(is_shared(Opcode::kStGlobal));
+  EXPECT_FALSE(is_store(Opcode::kIAdd));
+  EXPECT_FALSE(is_shared(Opcode::kBar));
 }
 
 TEST(Isa, MultipliersAreNotSpeculatedOn) {
   // Paper Section IV-C: no speculative adders in multipliers or complex
   // units; the FMA *accumulate* is, the standalone multiply is not.
-  EXPECT_FALSE(uses_adder(Opcode::kIMul));
-  EXPECT_FALSE(uses_adder(Opcode::kFMul));
-  EXPECT_FALSE(uses_adder(Opcode::kIDiv));
-  EXPECT_FALSE(uses_adder(Opcode::kFSqrt));
-  EXPECT_TRUE(uses_adder(Opcode::kFFma));
-  EXPECT_TRUE(uses_adder(Opcode::kIMad));
+  EXPECT_EQ(adder_slices(Opcode::kIMul), 0);
+  EXPECT_EQ(adder_slices(Opcode::kFMul), 0);
+  EXPECT_EQ(adder_slices(Opcode::kIDiv), 0);
+  EXPECT_EQ(adder_slices(Opcode::kFSqrt), 0);
+  EXPECT_NE(adder_slices(Opcode::kFFma), 0);
+  EXPECT_NE(adder_slices(Opcode::kIMad), 0);
 }
 
 TEST(Isa, SpecialRegNames) {

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "src/isa/builder.hpp"
+#include "src/sim/adder_ops.hpp"
 #include "src/sim/engine.hpp"
 #include "src/sim/error.hpp"
 #include "src/snapshot/crc32.hpp"
@@ -440,15 +441,29 @@ TEST_F(TraceCacheHostileTest, ValidCrcButSemanticallyBadPayloadsAreRejected) {
         << what;
   };
 
-  {
-    CanonicalCapture m = good;
-    m.blocks.at(0).warps.at(0).ops.at(0).flags = 0xff;
-    expect_reject(std::move(m), "unknown flag bits");
-  }
+  // An op's kind is that of the opcode at its pc.
+  const auto adder = [](isa::Opcode o) { return sim::adder_slices(o) != 0; };
+  const auto global_mem = [](isa::Opcode o) {
+    return isa::unit_class(o) == isa::UnitClass::kMem && !isa::is_shared(o);
+  };
+  // ALU ops outside the adder datapath (moves, shifts) carry no payload.
+  const auto plain_alu = [](isa::Opcode o) {
+    return isa::unit_class(o) == isa::UnitClass::kAlu &&
+           sim::adder_slices(o) == 0;
+  };
+  const auto is_adder = [&](const sim::TraceOp& op) {
+    return adder(tc.kernel.code.at(op.pc).op);
+  };
+  const auto is_global_mem = [&](const sim::TraceOp& op) {
+    return global_mem(tc.kernel.code.at(op.pc).op);
+  };
+  const auto is_plain_alu = [&](const sim::TraceOp& op) {
+    return plain_alu(tc.kernel.code.at(op.pc).op);
+  };
   {
     CanonicalCapture m = good;
     for (sim::TraceOp& op : m.blocks.at(0).warps.at(0).ops) {
-      if (op.is_mem() && !op.is_shared()) {
+      if (is_global_mem(op)) {
         op.payload = 1u << 30;  // far outside the line pool
         break;
       }
@@ -458,7 +473,7 @@ TEST_F(TraceCacheHostileTest, ValidCrcButSemanticallyBadPayloadsAreRejected) {
   {
     CanonicalCapture m = good;
     for (sim::TraceOp& op : m.blocks.at(0).warps.at(0).ops) {
-      if (op.has_adder()) {
+      if (is_adder(op)) {
         op.payload = 1u << 30;  // far outside the adder-lane pool
         break;
       }
@@ -468,10 +483,10 @@ TEST_F(TraceCacheHostileTest, ValidCrcButSemanticallyBadPayloadsAreRejected) {
   // Lane-plane rejections, on the first adder op of warp 0 (the tiny
   // kernel's warps are full, so its lanes are all active) and on lane 0.
   // Its adds are 32-bit integer ops: 4 slices, relevant mask 0x07.
-  const auto first_adder = [](CanonicalCapture& m) -> spec::WarpLanes& {
+  const auto first_adder = [&](CanonicalCapture& m) -> spec::WarpLanes& {
     sim::WarpStream& ws = m.blocks.at(0).warps.at(0);
     for (const sim::TraceOp& op : ws.ops) {
-      if (op.has_adder()) return ws.adder_lanes.at(op.payload);
+      if (is_adder(op)) return ws.adder_lanes.at(op.payload);
     }
     ADD_FAILURE() << "the tiny kernel has no adder op";
     return ws.adder_lanes.at(0);
@@ -490,7 +505,7 @@ TEST_F(TraceCacheHostileTest, ValidCrcButSemanticallyBadPayloadsAreRejected) {
     CanonicalCapture m = good;
     sim::WarpStream& ws = m.blocks.at(0).warps.at(0);
     for (sim::TraceOp& op : ws.ops) {
-      if (op.has_adder()) {
+      if (is_adder(op)) {
         op.active_mask &= ~1u;  // lane 0's bytes now belong to no lane
         ASSERT_NE(op.active_mask, 0u);
         ws.adder_lanes.at(op.payload).actual[0] = 0x01;  // a valid carry
@@ -503,7 +518,7 @@ TEST_F(TraceCacheHostileTest, ValidCrcButSemanticallyBadPayloadsAreRejected) {
     CanonicalCapture m = good;
     sim::WarpStream& ws = m.blocks.at(0).warps.at(0);
     for (sim::TraceOp& op : ws.ops) {
-      if (op.has_adder()) {
+      if (is_adder(op)) {
         op.payload = static_cast<std::uint32_t>(ws.adder_lanes.size());
         break;
       }
@@ -511,42 +526,51 @@ TEST_F(TraceCacheHostileTest, ValidCrcButSemanticallyBadPayloadsAreRejected) {
     expect_reject(std::move(m), "adder payload one past the pool");
   }
   // Ops checked against the kernel: replay indexes its per-PC tables by
-  // pc, and an adder op's relevant mask comes from its opcode.
+  // pc, and takes the op's kind, and an adder op's relevant mask, from the
+  // opcode there. A pc rewritten to another valid pc changes the op's kind,
+  // and its payload is checked as the new kind's.
   {
     CanonicalCapture m = good;
     m.blocks.at(0).warps.at(0).ops.at(0).pc =
         static_cast<std::uint32_t>(tc.kernel.code.size());
     expect_reject(std::move(m), "pc one past the kernel");
   }
+  const auto first_pc = [&](auto&& kind) {
+    for (std::uint32_t pc = 0; pc < tc.kernel.code.size(); ++pc) {
+      if (kind(tc.kernel.code[pc].op)) return pc;
+    }
+    ADD_FAILURE() << "the tiny kernel has no such opcode";
+    return std::uint32_t{0};
+  };
+  const std::uint32_t adder_pc = first_pc(adder);
+  const std::uint32_t global_pc = first_pc(global_mem);
   {
     CanonicalCapture m = good;
-    for (sim::TraceOp& op : m.blocks.at(0).warps.at(0).ops) {
-      if (op.has_adder()) {
-        op.flags &= static_cast<std::uint8_t>(~sim::TraceOp::kHasAdder);
+    sim::WarpStream& ws = m.blocks.at(0).warps.at(0);
+    for (sim::TraceOp& op : ws.ops) {
+      if (is_plain_alu(op)) {
+        op.pc = adder_pc;
+        op.payload = static_cast<std::uint32_t>(ws.adder_lanes.size());
         break;
       }
     }
-    expect_reject(std::move(m), "adder op without the adder flag");
+    expect_reject(std::move(m),
+                  "non-adder op moved to an adder pc, payload past the pool");
   }
   {
     CanonicalCapture m = good;
-    for (sim::TraceOp& op : m.blocks.at(0).warps.at(0).ops) {
-      if (!op.has_adder() && !op.is_mem()) {
-        op.flags |= sim::TraceOp::kHasAdder;  // its payload 0 names lanes
+    sim::WarpStream& ws = m.blocks.at(0).warps.at(0);
+    ASSERT_FALSE(ws.lines.empty());
+    for (sim::TraceOp& op : ws.ops) {
+      if (is_plain_alu(op)) {
+        op.pc = global_pc;
+        op.payload = static_cast<std::uint32_t>(ws.lines.size() - 1);
+        op.mem_lines = 2;  // the second line is one past the pool
         break;
       }
     }
-    expect_reject(std::move(m), "adder flag on a non-adder opcode");
-  }
-  {
-    CanonicalCapture m = good;
-    for (sim::TraceOp& op : m.blocks.at(0).warps.at(0).ops) {
-      if (op.has_adder()) {
-        op.flags |= sim::TraceOp::kIsMem;
-        break;
-      }
-    }
-    expect_reject(std::move(m), "adder op flagged as a memory op");
+    expect_reject(std::move(m),
+                  "ALU op moved to a global memory pc, lines past the pool");
   }
   {
     CanonicalCapture m = good;

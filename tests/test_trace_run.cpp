@@ -21,6 +21,28 @@ isa::Kernel simple_kernel(int loop_trips) {
   return kb.build();
 }
 
+// Trace mode and replay count the instruction mix through the one table:
+// for every opcode and active-lane count it adds exactly what
+// count_instruction adds.
+TEST(TraceRun, MixTableCountsWhatCountInstructionCounts) {
+  const MixTable& table = mix_table();
+  for (int o = 0; o < static_cast<int>(Opcode::kOpcodeCount); ++o) {
+    const auto op = static_cast<Opcode>(o);
+    for (int threads = 1; threads <= kWarpSize; ++threads) {
+      SCOPED_TRACE(::testing::Message()
+                   << isa::mnemonic(op) << ", " << threads << " threads");
+      const std::uint32_t mask =
+          threads == kWarpSize ? kFullWarpMask : (1u << threads) - 1;
+      EventCounters want{}, got{};
+      count_instruction(op, threads, want);
+      table.count(op, mask, got);
+      table.count(op, mask, got);
+      count_instruction(op, threads, want);
+      EXPECT_TRUE(got == want);
+    }
+  }
+}
+
 TEST(TraceRun, CountersAreConsistent) {
   const isa::Kernel k = simple_kernel(10);
   GlobalMemory mem;
