@@ -241,6 +241,54 @@ TEST(SpecProperty, PackedWarpStepMatchesTheLaneByLaneRule) {
       shapes.push_back({"valhalla", {keep, true, false, true, per_lane}});
     }
   }
+  // The shared entry under a full warp of 8-slice adds in which all 32
+  // lanes write: every lane's true pattern differs (37 is odd, so
+  // lane * 37 + 5 is distinct mod 128) and none equals the entry, so every
+  // lane mispredicts. Each writer replaces the relevant bits and keeps the
+  // rest, so the lane-order fold must end at the highest writer's merge.
+  // A 4-slice add owns three bits and keeps the entry's other four; there
+  // the lanes whose pattern is the entry's (1 mod 8) predict right.
+  for (const int slices : {kNumSlices, 4}) {
+    const std::uint8_t relevant = relevant_mask(slices);
+    WarpLanes lanes;
+    for (int lane = 0; lane < kWarpLanes; ++lane) {
+      const auto l = static_cast<std::size_t>(lane);
+      lanes.actual[l] = static_cast<std::uint8_t>((lane * 37 + 5) & relevant);
+      lanes.peek_mask[l] = 0;
+    }
+    const std::uint8_t entry = slices == kNumSlices ? 0x02 : 0x7a;
+    for (const Shape& shape : shapes) {
+      const LatticeRule& rule = shape.rule;
+      if (rule.per_lane) continue;
+      for (const std::uint32_t fresh : {0u, 1u}) {
+        std::array<std::uint8_t, kWarpLanes> packed{};
+        std::array<std::uint8_t, kWarpLanes> ref{};
+        packed[0] = ref[0] = entry;
+        const bool tabled = rule.write_on_miss || rule.valhalla;
+        const std::uint32_t f = tabled ? fresh : 0u;
+        const WarpTally got =
+            rule.step(lanes, relevant, ~0u, f, packed.data());
+        const WarpTally want =
+            step_reference(rule, lanes, relevant, ~0u, f, ref.data());
+        const auto where = [&] {
+          return ::testing::Message()
+                 << shape.base << (rule.peek_keep ? "+peek" : "")
+                 << " shared, all lanes write, slices " << slices
+                 << " fresh " << fresh;
+        };
+        EXPECT_EQ(got.mispredicted, slices == kNumSlices ? 32u : 28u)
+            << where();
+        EXPECT_EQ(got.mispredicted, want.mispredicted) << where();
+        EXPECT_EQ(got.wrong_bits, want.wrong_bits) << where();
+        EXPECT_EQ(got.recomputes, want.recomputes) << where();
+        EXPECT_EQ(packed[0], ref[0]) << where();
+        if (rule.write_on_miss) {
+          EXPECT_EQ(packed[0], (entry & ~relevant) | lanes.actual[31])
+              << where();
+        }
+      }
+    }
+  }
   // Each shape keeps its own entries across warps, packed and reference
   // side by side, so training feeds back into later predictions.
   std::vector<std::array<std::uint8_t, kWarpLanes>> packed(shapes.size());
@@ -358,6 +406,37 @@ WarpResolve resolve_reference(const std::array<std::uint8_t, kWarpLanes>& row,
 }
 
 TEST(SpecProperty, PackedResolveMatchesTheLaneOrderRule) {
+  {
+    // The largest tally one instruction can reach: a full warp of 8-slice
+    // adds (relevant 0x7f) without Peek, every history bit wrong. Each lane
+    // has 7 wrong bits and recomputes 7 slices, 224 of each in all.
+    WarpLanes lanes;
+    std::array<std::uint8_t, kWarpLanes> row{};
+    for (int lane = 0; lane < kWarpLanes; ++lane) {
+      const auto l = static_cast<std::size_t>(lane);
+      lanes.set(lane, lane_record(0x0101010101010101ULL * (lane & 1u),
+                                  0xffffffffffffffffULL, (lane & 1u) != 0,
+                                  kNumSlices));
+      lanes.peek_mask[l] = static_cast<std::uint8_t>(0xa5u ^ lane);
+      row[l] = static_cast<std::uint8_t>(~lanes.actual[l] & 0x7fu);
+    }
+    const WarpResolve got =
+        resolve_warp(row.data(), lanes, 0x7f, ~0u, 0, DetectorEdits{});
+    const WarpResolve want =
+        resolve_reference(row, lanes, 0x7f, ~0u, 0, DetectorEdits{});
+    EXPECT_EQ(got.tally.ops, 32u);
+    EXPECT_EQ(got.tally.mispredicted, 32u);
+    EXPECT_EQ(got.tally.wrong_bits, 224u);
+    EXPECT_EQ(got.tally.carry_bits, 224u);
+    EXPECT_EQ(got.tally.recomputes, 224u);
+    EXPECT_EQ(got.tally.mispredicted, want.tally.mispredicted);
+    EXPECT_EQ(got.tally.wrong_bits, want.tally.wrong_bits);
+    EXPECT_EQ(got.tally.carry_bits, want.tally.carry_bits);
+    EXPECT_EQ(got.tally.recomputes, want.tally.recomputes);
+    EXPECT_EQ(got.mispredicted, ~0u);
+    EXPECT_EQ(got.repair, want.repair);
+    EXPECT_EQ(got.merged, want.merged);
+  }
   Xoshiro256 rng(0x7e501fe5ULL);
   constexpr int kSlices[] = {3, 4, 7, 8};
   // Warps on which a mask edit hid a misprediction, a detect edit forced a
