@@ -7,12 +7,12 @@
 # the repository reports, so refactors of the run path, the speculation
 # stacks or the caches cannot move a figure unnoticed.
 #
-# Every binary in the bench directory runs except microbench_adders, whose
-# google-benchmark output is host wall time. Each bench runs in a fresh
-# temporary directory with BENCH_TRACE_CACHE unset, so the memo-cached
-# configuration without a disk tier is what is pinned. The set of CSVs is
-# compared too: a bench that stops writing one, or starts writing a new
-# one, fails the net.
+# Every binary in the bench directory runs except the microbench_*
+# binaries, whose google-benchmark output is host wall time. Each bench
+# runs in a fresh temporary directory with BENCH_TRACE_CACHE unset, so the
+# memo-cached configuration without a disk tier is what is pinned. The set
+# of CSVs is compared too: a bench that stops writing one, or starts
+# writing a new one, fails the net.
 #
 # When a change is *supposed* to move a figure, copy WORKDIR/out/*.csv over
 # the references and commit the diff — the review then shows which rows moved.
@@ -35,7 +35,7 @@ fails=0
 for bin in "$BENCH_DIR"/*; do
     name=$(basename "$bin")
     [ -f "$bin" ] && [ -x "$bin" ] || continue
-    [ "$name" = microbench_adders ] && continue
+    case $name in microbench_*) continue ;; esac
     mkdir -p "$WORK/run_$name"
     if ! (cd "$WORK/run_$name" && "$bin" >stdout.txt 2>stderr.txt); then
         echo "FAIL: $name exited non-zero" >&2

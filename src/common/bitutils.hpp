@@ -80,13 +80,23 @@ constexpr int popcount_byte(std::uint8_t v) {
 
 // ---- Byte-lane SWAR: a uint64_t as eight one-byte lanes, lane i in byte i.
 
-/// Set bits of a 64-bit word, by the same SWAR partial sums as
-/// popcount_byte, the eight byte counts summed by one multiply.
-constexpr int popcount64(std::uint64_t v) {
+/// Set bits of each byte lane of `v`, by the same SWAR partial sums as
+/// popcount_byte: byte i of the result counts the bits of byte i.
+constexpr std::uint64_t byte_popcounts(std::uint64_t v) {
   v -= (v >> 1) & 0x5555555555555555ULL;  // 2-bit counts
   v = (v & 0x3333333333333333ULL) + ((v >> 2) & 0x3333333333333333ULL);
-  v = (v + (v >> 4)) & 0x0f0f0f0f0f0f0f0fULL;  // byte counts
+  return (v + (v >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+}
+
+/// The sum of the eight byte lanes of `v`, by one multiply. Exact while
+/// that sum is below 256: every partial sum then stays inside its byte.
+constexpr int sum_bytes(std::uint64_t v) {
   return static_cast<int>((v * 0x0101010101010101ULL) >> 56);
+}
+
+/// Set bits of a 64-bit word: its byte counts, summed.
+constexpr int popcount64(std::uint64_t v) {
+  return sum_bytes(byte_popcounts(v));
 }
 
 /// Expands lane bits to byte lanes: byte i of the result is 0xff if bit i of

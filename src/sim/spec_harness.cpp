@@ -8,13 +8,12 @@ namespace {
 /// (the CUDA maximum block size), whatever the launch's block size.
 constexpr std::uint32_t kGtidBlockStride = 1024;
 
-/// Global thread id of `lane` in a record.
+}  // namespace
+
 std::uint32_t lane_gtid(const ExecRecord& rec, int lane) {
   return static_cast<std::uint32_t>(rec.block_flat) * kGtidBlockStride +
          static_cast<std::uint32_t>(rec.warp_in_block * kWarpSize + lane);
 }
-
-}  // namespace
 
 spec::AddOp make_add_op(const ExecRecord& rec, int lane) {
   const AdderMicroOp& m = rec.adder[static_cast<std::size_t>(lane)];
@@ -29,8 +28,7 @@ spec::AddOp make_add_op(const ExecRecord& rec, int lane) {
   return op;
 }
 
-void SpeculationHarness::feed(const ExecRecord& rec) {
-  if (!rec.has_adder_op) return;
+void SpeculationHarness::feed_adder(const ExecRecord& rec) {
   const spec::WarpTally t = speculator_.step(
       rec.pc, lane_gtid(rec, 0), rec.lanes, rec.relevant, rec.active_mask);
   op_mispredicts_.record(t.mispredicted, t.ops);

@@ -3,10 +3,13 @@
 // in the same shape as the replay core's issue path (SmCore::speculate):
 // all active lanes of a warp instruction read their history patterns
 // *before* any lane's outcome trains the tables (the CRF row is read once in
-// the register-read stage; updates land at write-back), then each lane in
-// order composes its prediction, resolves it and trains. A warp makes one
-// probe into the row table and runs the packed step (LatticeRule::step) on
-// the lane planes and relevant mask step() stored in the ExecRecord.
+// the register-read stage; updates land at write-back), then every lane
+// composes its prediction, resolves it and trains, as a lane-order loop
+// would. A warp makes one probe into the row table and runs the packed
+// step (LatticeRule::step) on the lane planes and relevant mask step()
+// stored in the ExecRecord: the tallies are counted once per instruction,
+// and a shared entry takes its last writer's merge. feed's adder test is
+// inline, so a non-adder record costs each harness a test, not a call.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +26,11 @@ class SpeculationHarness {
       : speculator_(cfg) {}
 
   /// Processes one executed warp instruction (no-op unless it carries adder
-  /// micro-ops).
-  void feed(const ExecRecord& rec);
+  /// micro-ops). The gate is inline: most records are not adders, and each
+  /// of them costs a test instead of a call per harness.
+  void feed(const ExecRecord& rec) {
+    if (rec.has_adder_op) feed_adder(rec);
+  }
 
   /// Thread-level misprediction rate: mispredicted adds / total adds.
   double op_misprediction_rate() const { return op_mispredicts_.rate(); }
@@ -45,11 +51,19 @@ class SpeculationHarness {
   const spec::CarrySpeculator& speculator() const { return speculator_; }
 
  private:
+  /// The adder path of feed, out of line.
+  void feed_adder(const ExecRecord& rec);
+
   spec::CarrySpeculator speculator_;
   RatioCounter op_mispredicts_;   // hit = mispredicted
   RatioCounter bit_mispredicts_;  // hit = wrong carry bit
   std::uint64_t slice_recomputes_ = 0;
 };
+
+/// Global thread id the lattice gives `lane` of a record: blocks are
+/// numbered as if each held 1024 threads (the CUDA maximum block size),
+/// whatever the launch's block size, so lane 0's id is a multiple of 32.
+std::uint32_t lane_gtid(const ExecRecord& rec, int lane);
 
 /// Builds the spec::AddOp for one lane of a record, with the global thread
 /// id SpeculationHarness::feed gives that lane. The record must have been

@@ -183,19 +183,27 @@ struct WarpResolve {
 ///
 /// Per word: the mispredict word is `(hist ^ actual) & dyn` with
 /// `dyn = relevant & ~peek` (Peek bits are never wrong, so their carries
-/// drop out). The wrong bits are its popcount, the mispredicted lanes its
-/// non-zero bytes, the recomputes its per-byte upward smear under `dyn`,
-/// the carry bits a popcount of the relevant mask (inactive lanes masked
-/// off).
+/// drop out); its non-zero bytes are the mispredicted lanes. The tallies are
+/// counted once per instruction: the carry bits are the active lanes times
+/// the relevant mask's popcount, the mispredicted lanes a popcount of the
+/// lane mask, and the wrong bits and recomputes (the per-byte upward smear
+/// of the mispredict word under `dyn`) per-byte bit counts summed across the
+/// words and then across the bytes by one multiply each.
 inline WarpResolve resolve_warp(const std::uint8_t* row,
                                 const WarpLanes& lanes, std::uint8_t relevant,
                                 std::uint32_t active, std::uint8_t peek_keep,
                                 DetectorEdits edits = {}) {
+  // A byte counts at most 7 bits a word (relevant_mask is 7 bits wide), so
+  // at most 28 over the four words and 224 over the eight bytes: the sums
+  // never leave a byte, and sum_bytes is exact.
+  static_assert(kNumPredictedCarries * kWarpLanes < 256,
+                "per-byte tally accumulators must not overflow a byte");
+  ST2_EXPECTS((relevant & ~relevant_mask(kNumSlices)) == 0);
   const std::uint64_t keep = peek_keep * 0x0101010101010101ULL;
   const std::uint64_t relevant_word = relevant * 0x0101010101010101ULL;
   WarpResolve r;
-  WarpTally& t = r.tally;
-  t.ops = static_cast<std::uint64_t>(popcount64(active));
+  std::uint64_t wrong_bytes = 0;      // per-byte counts of wrong bits
+  std::uint64_t recompute_bytes = 0;  // per-byte counts of recomputes
   for (int w = 0; w < kWarpLanes / 8; ++w) {
     const std::uint32_t word_lanes = (active >> (8 * w)) & 0xffu;
     if (word_lanes == 0) continue;
@@ -213,14 +221,17 @@ inline WarpResolve resolve_warp(const std::uint8_t* row,
     // What the detector sees: a masked lane's misprediction is silent.
     const std::uint64_t seen =
         mis & ~byte_mask_from_bits(edits.mask >> (8 * w));
-    t.wrong_bits += static_cast<std::uint64_t>(popcount64(seen));
-    t.mispredicted +=
-        static_cast<std::uint64_t>(popcount64(nonzero_byte_msbs(seen)));
-    t.carry_bits += static_cast<std::uint64_t>(popcount64(rel));
-    t.recomputes +=
-        static_cast<std::uint64_t>(popcount64(smear_bytes_up(seen) & dyn));
+    wrong_bytes += byte_popcounts(seen);
+    recompute_bytes += byte_popcounts(smear_bytes_up(seen) & dyn);
     store_byte_lanes(r.merged.data() + at, (hist & ~rel) | act);
   }
+  WarpTally& t = r.tally;
+  t.ops = static_cast<std::uint64_t>(popcount64(active));
+  t.mispredicted = static_cast<std::uint64_t>(
+      popcount64(r.mispredicted & ~edits.mask));
+  t.wrong_bits = static_cast<std::uint64_t>(sum_bytes(wrong_bytes));
+  t.carry_bits = t.ops * static_cast<std::uint64_t>(popcount_byte(relevant));
+  t.recomputes = static_cast<std::uint64_t>(sum_bytes(recompute_bytes));
   // The two edits are independent: both can fire on one instruction.
   r.repair = (r.mispredicted & ~edits.mask) |
              (active & ~r.mispredicted & edits.detect);
@@ -380,7 +391,8 @@ struct LatticeRule {
   /// 0, the one shared entry.
   /// `fresh` marks the lanes whose entry is touched for the first time.
   /// A row trains with one masked 8-byte store per word; the shared entry
-  /// folds the writing lanes' merges in lane order.
+  /// takes its last writer's merge, which is what folding the writers'
+  /// merges in lane order leaves there.
   WarpTally step(const WarpLanes& lanes, std::uint8_t relevant,
                  std::uint32_t active, std::uint32_t fresh,
                  std::uint8_t* entries) const {
@@ -388,7 +400,7 @@ struct LatticeRule {
     if (!per_lane) shared.fill(entries[0]);
     const WarpResolve r = resolve_warp(per_lane ? entries : shared.data(),
                                        lanes, relevant, active, peek_keep);
-    std::uint32_t writers =
+    const std::uint32_t writers =
         active & ((write_always ? ~0u : 0u) |
                   (write_on_miss ? r.mispredicted : 0u) | fresh);
     if (per_lane) {
@@ -411,19 +423,13 @@ struct LatticeRule {
       }
       return r.tally;
     }
-    // VaLHALLA's merge ignores the entry: the last writer decides it.
-    if (valhalla && writers != 0) {
-      writers = std::uint32_t{1} << (31 - std::countl_zero(writers));
-    }
-    std::uint8_t e = entries[0];
-    for (; writers != 0; writers &= writers - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(writers));
-      const std::uint8_t act =
-          static_cast<std::uint8_t>(lanes.actual[l] & relevant);
-      e = valhalla ? (act != 0 ? 0x7f : 0)
-                   : static_cast<std::uint8_t>((e & ~relevant) | act);
-    }
-    entries[0] = e;
+    // Every writer replaces all the relevant bits of the shared entry and
+    // keeps the rest (VaLHALLA replaces the whole entry), so folding the
+    // writers in lane order ends at the highest writer's merge.
+    if (writers == 0) return r.tally;
+    const auto last = static_cast<std::size_t>(31 - std::countl_zero(writers));
+    entries[0] = valhalla ? ((lanes.actual[last] & relevant) != 0 ? 0x7f : 0)
+                          : r.merged[last];
     return r.tally;
   }
 };

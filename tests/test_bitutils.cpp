@@ -127,10 +127,12 @@ TEST(BitUtils, PackByteGathers) {
 TEST(BitUtils, ByteLaneHelpersMatchScalarLoops) {
   const auto check = [](std::uint64_t v) {
     ASSERT_EQ(popcount64(v), std::popcount(v)) << std::hex << v;
+    std::uint64_t counts = 0;
     std::uint64_t nonzero = 0;
     std::uint64_t smeared = 0;
     for (int i = 0; i < 8; ++i) {
       const auto lane = static_cast<std::uint8_t>(v >> (8 * i));
+      counts |= std::uint64_t(std::popcount(lane)) << (8 * i);
       if (lane != 0) nonzero |= std::uint64_t{0x80} << (8 * i);
       std::uint8_t up = 0;
       for (int j = 0; j < 8; ++j) {
@@ -138,6 +140,7 @@ TEST(BitUtils, ByteLaneHelpersMatchScalarLoops) {
       }
       smeared |= std::uint64_t{up} << (8 * i);
     }
+    ASSERT_EQ(byte_popcounts(v), counts) << std::hex << v;
     ASSERT_EQ(nonzero_byte_msbs(v), nonzero) << std::hex << v;
     ASSERT_EQ(smear_bytes_up(v), smeared) << std::hex << v;
   };
@@ -163,6 +166,10 @@ TEST(BitUtils, ByteLaneHelpersMatchScalarLoops) {
     ASSERT_EQ(byte_mask_from_bits(bits8 | 0xabcd00u), want) << bits8;
     ASSERT_EQ(pack_byte_msbs(byte_mask_from_bits(bits8)), bits8);
   }
+  // The packed resolve's accumulators: four words of 7-bit lanes give at
+  // most 28 a byte, 224 in all, and one multiply still sums them exactly.
+  EXPECT_EQ(sum_bytes(0x1c1c1c1c1c1c1c1cULL), 224);
+  EXPECT_EQ(sum_bytes(0x00000000000000ffULL), 255);
 }
 
 TEST(BitUtils, LongestCarryChainKnownCases) {
