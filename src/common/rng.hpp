@@ -87,15 +87,6 @@ class Xoshiro256 {
     return s - 6.0;
   }
 
-  /// Raw generator state, for checkpoint/resume: restoring the four words
-  /// reproduces the exact continuation of the stream.
-  void get_state(std::uint64_t out[4]) const {
-    for (int i = 0; i < 4; ++i) out[i] = state_[i];
-  }
-  void set_state(const std::uint64_t in[4]) {
-    for (int i = 0; i < 4; ++i) state_[i] = in[i];
-  }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -26,11 +26,6 @@ class Table {
 
   const std::string& title() const { return title_; }
   std::size_t rows() const { return rows_.size(); }
-  /// Raw data rows (no header), for checkpoint serialization: a resumed run
-  /// re-ingests them via `row()` so the final table/CSV is bit-identical.
-  const std::vector<std::vector<std::string>>& raw_rows() const {
-    return rows_;
-  }
 
  private:
   std::string title_;

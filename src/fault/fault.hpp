@@ -81,11 +81,6 @@ class FaultInjector {
 
   const FaultConfig& config() const { return cfg_; }
 
-  /// Checkpoint support: the injector's only mutable state is its RNG
-  /// position; restoring it reproduces the exact fault stream continuation.
-  void get_rng_state(std::uint64_t out[4]) const { rng_.get_state(out); }
-  void set_rng_state(const std::uint64_t in[4]) { rng_.set_state(in); }
-
  private:
   bool fire(double rate) { return rate > 0.0 && rng_.next_double() < rate; }
 

@@ -53,20 +53,16 @@ int CaseResult::exit_code() const {
 CaseResult run_case(const Machine& m, workloads::PreparedCase& pc,
                     const LaunchHooks& hooks) {
   sim::ExecutionEngine eng(m.cfg, m.opts);
-  CaseResult res = hooks.resumed;
+  CaseResult res;
   for (std::size_t li = 0; li < pc.launches.size(); ++li) {
     const sim::GridCapture cap = [&] {
       PhaseTimer pt(hooks.capture_s);
       return eng.capture(pc.kernel, pc.launches[li], *pc.mem);
     }();
-    if (li < hooks.start_launch) continue;
     sim::RunReport r;
     {
       PhaseTimer pt(hooks.replay_s);
-      const sim::ReplayCheckpoint ck = hooks.checkpoint
-                                           ? hooks.checkpoint(li, res)
-                                           : sim::ReplayCheckpoint{};
-      r = eng.replay(pc.kernel, cap, &ck);
+      r = eng.replay(pc.kernel, cap);
     }
     if (hooks.on_report) hooks.on_report(li, r);
     res.counters += r.chip;
@@ -106,13 +102,11 @@ int guarded(const std::function<int()>& body) {
   }
 }
 
-int run_all(const std::function<int(const std::string& name,
-                                    std::uint32_t pos, int rc)>& kernel,
-            std::uint32_t first, int rc, const std::atomic<bool>* cancel) {
-  const std::vector<workloads::CaseInfo> cases = workloads::case_list();
-  for (std::uint32_t pos = first; pos < cases.size(); ++pos) {
-    const int code =
-        guarded([&] { return kernel(cases[pos].name, pos, rc); });
+int run_all(const std::function<int(const std::string& name)>& kernel,
+            const std::atomic<bool>* cancel) {
+  int rc = sim::kExitOk;
+  for (const workloads::CaseInfo& c : workloads::case_list()) {
+    const int code = guarded([&] { return kernel(c.name); });
     if (rc == sim::kExitOk) rc = code;
     if (code == sim::kExitInterrupted ||
         (cancel != nullptr && cancel->load())) {

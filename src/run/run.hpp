@@ -76,19 +76,10 @@ struct CaseResult {
 
 /// Optional hooks of the launch loop; the defaults run the plain loop.
 struct LaunchHooks {
-  /// Resume point: launches before `start_launch` are only re-captured,
-  /// which re-applies their side effects to device memory; `resumed` holds
-  /// their totals.
-  std::size_t start_launch = 0;
-  CaseResult resumed;
-  /// Checkpoint hooks for one launch's replay. `so_far` holds the totals of
-  /// the completed launches and stays valid for the whole replay.
-  std::function<sim::ReplayCheckpoint(std::size_t launch,
-                                      const CaseResult& so_far)>
-      checkpoint;
   /// Sees each replayed launch's report, an aborted one's partial report
   /// included, before it is added to the totals.
-  std::function<void(std::size_t launch, sim::RunReport& report)> on_report;
+  std::function<void(std::size_t launch, const sim::RunReport& report)>
+      on_report;
   /// Wall-time accumulators (seconds) for the capture and replay phases.
   double* capture_s = nullptr;
   double* replay_s = nullptr;
@@ -114,14 +105,11 @@ int report_error(const sim::SimError& e);
 /// it threw (current_error) and returns that exit code instead.
 int guarded(const std::function<int()>& body);
 
-/// The `all` sweep: runs `kernel(name, pos, rc)` under `guarded` for each
-/// case of workloads::case_list() from position `first`, where `rc` is the
-/// sweep's exit code so far. The code is sticky — the first non-zero one
-/// wins — so a failing kernel degrades it without stopping the sweep; an
-/// interrupt (exit 130, or `cancel` set) stops it.
-int run_all(const std::function<int(const std::string& name,
-                                    std::uint32_t pos, int rc)>& kernel,
-            std::uint32_t first = 0, int rc = 0,
+/// The `all` sweep: runs `kernel(name)` under `guarded` for each case of
+/// workloads::case_list() in order. The exit code is sticky — the first
+/// non-zero one wins — so a failing kernel degrades it without stopping the
+/// sweep; an interrupt (exit 130, or `cancel` set) stops it.
+int run_all(const std::function<int(const std::string& name)>& kernel,
             const std::atomic<bool>* cancel = nullptr);
 
 /// Joins report elements into the JSON array document `--json` writes.

@@ -18,7 +18,7 @@ int run_kernel(const run::RunSpec& spec, const std::string& name,
   run::Machine m = spec.machine();
   m.opts.capture_provider = cache;
   run::LaunchHooks hooks;
-  hooks.on_report = [&](std::size_t li, sim::RunReport& r) {
+  hooks.on_report = [&](std::size_t li, const sim::RunReport& r) {
     json_reports->push_back(r.to_json(name, static_cast<int>(li)));
   };
   return run::run_case(m, pc, hooks).exit_code();
@@ -40,11 +40,11 @@ RunResult execute_request(const RunRequest& req,
       spec.watchdog_ms = default_watchdog_ms;
     }
     std::vector<std::string> json_reports;
-    const auto kernel = [&](const std::string& name, std::uint32_t, int) {
+    const auto kernel = [&](const std::string& name) {
       return run_kernel(spec, name, cache, &json_reports);
     };
     res.exit_code =
-        spec.kernel == "all" ? run::run_all(kernel) : kernel(spec.kernel, 0, 0);
+        spec.kernel == "all" ? run::run_all(kernel) : kernel(spec.kernel);
     res.report = run::json_array(json_reports);
   } catch (const std::exception&) {
     const sim::SimError e = run::current_error();

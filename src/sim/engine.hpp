@@ -24,8 +24,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <string>
 
 #include "src/isa/instruction.hpp"
 #include "src/sim/config.hpp"
@@ -84,33 +82,6 @@ struct GridCapture {
   std::vector<SmWorkload> per_sm;
 };
 
-/// Checkpoint/resume hooks for `replay` (docs/robustness.md).
-///
-/// With a non-zero cadence the engine runs all SMs to each common cycle
-/// boundary (the next multiple of `every` past the slowest live SM),
-/// barriers, and serializes the complete replay state in ascending SM order
-/// — so the snapshot bytes are a pure function of (config, kernel,
-/// workload, boundary), bit-identical across `--jobs N`. Each SmCore is
-/// itself a pure function of those inputs, which is why restoring a
-/// snapshot and replaying on yields final counters bit-identical to a run
-/// that was never paused. A final snapshot is also taken when a
-/// watchdog/cancel abort cuts the replay short, so the aborted run can be
-/// resumed instead of restarted.
-struct ReplayCheckpoint {
-  /// Snapshot cadence in cycles; 0 = abort-time snapshots only.
-  std::uint64_t every = 0;
-  /// Receives each serialized engine state. `cycle` is the boundary (for
-  /// periodic snapshots) or the first unfinished SM's cycle (on abort);
-  /// `on_abort` marks the final snapshot of an aborted replay.
-  std::function<void(const std::string& state, std::uint64_t cycle,
-                     bool on_abort)>
-      sink;
-  /// Engine state from a prior sink call to restore before replaying;
-  /// rejected with SimError(kSnapshotInvalid) if it does not match the
-  /// current workload. Null = start from cycle 0.
-  const std::string* resume = nullptr;
-};
-
 /// Runs the canonical functional pass over the whole grid (mutating `gmem`
 /// exactly as trace_run would) and records the per-warp replay streams.
 /// Adder-lane payloads are only captured when `cfg.st2_enabled`. A non-null
@@ -137,20 +108,12 @@ class ExecutionEngine {
                       GlobalMemory& gmem);
 
   /// Replays an existing capture (capture once, replay many — e.g. the same
-  /// value stream under different machine configs) through the epoch-barrier
-  /// loop described at ReplayCheckpoint. A null `ck` (or an empty
-  /// ReplayCheckpoint) runs one epoch to completion or abort, with no sink
-  /// and no resume. Completed runs produce counters bit-identical for any
-  /// cadence, any resume point and any `jobs`.
-  ///
-  /// Core lifetime: each SM's SmCore is built on its first advance (on
-  /// resume, every core is built up front, serially, to restore it) and,
-  /// unless `ck->sink` is set, sealed and freed as soon as it finishes or
-  /// aborts — so a replay with neither sink nor cadence holds at most one
-  /// live core per worker. With a sink every core lives to the end, since the
-  /// sink may snapshot it.
-  RunReport replay(const isa::Kernel& kernel, const GridCapture& capture,
-                   const ReplayCheckpoint* ck = nullptr);
+  /// value stream under different machine configs) in one pass per SM: each
+  /// worker claims an SM, builds its SmCore, steps it to its finish or an
+  /// abort cause (the watchdog budget, the wall deadline, `cancel`), seals
+  /// it and frees it, so a replay holds at most one live core per worker.
+  /// Counters are bit-identical for any `jobs`.
+  RunReport replay(const isa::Kernel& kernel, const GridCapture& capture);
 
   const GpuConfig& config() const { return cfg_; }
 

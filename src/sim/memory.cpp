@@ -57,38 +57,4 @@ bool Cache::access(std::uint64_t addr, bool is_write) {
   return false;
 }
 
-void Cache::save(snapshot::Writer& w) const {
-  w.u64(tick_);
-  w.u64(hits_);
-  w.u64(misses_);
-  std::uint32_t allocated = 0;
-  for (const Line& l : lines_) {
-    if (l.tag != ~std::uint64_t{0}) ++allocated;
-  }
-  w.u32(allocated);
-  for (std::size_t i = 0; i < lines_.size(); ++i) {
-    if (lines_[i].tag == ~std::uint64_t{0}) continue;
-    w.u32(static_cast<std::uint32_t>(i));
-    w.u64(lines_[i].tag);
-    w.u64(lines_[i].lru);
-  }
-}
-
-void Cache::restore(snapshot::Reader& r) {
-  tick_ = r.u64();
-  hits_ = r.u64();
-  misses_ = r.u64();
-  for (Line& l : lines_) l = Line{};
-  const std::uint32_t allocated = r.u32();
-  const std::size_t total = static_cast<std::size_t>(num_sets_) * ways_;
-  r.require(allocated <= total, "cache line count out of range");
-  if (allocated != 0 && lines_.empty()) materialize();
-  for (std::uint32_t n = 0; n < allocated; ++n) {
-    const std::uint32_t i = r.u32();
-    r.require(i < lines_.size(), "cache line index out of range");
-    lines_[i].tag = r.u64();
-    lines_[i].lru = r.u64();
-  }
-}
-
 }  // namespace st2::sim

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/common/contracts.hpp"
-#include "src/snapshot/serial.hpp"
 
 namespace st2::sim {
 
@@ -102,13 +101,6 @@ class Cache {
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t accesses() const { return hits_ + misses_; }
-
-  /// Checkpoint support: serializes tag/LRU state sparsely (only allocated
-  /// lines), so snapshots of small workloads stay small even with a 4 MB L2
-  /// tag array. `restore` assumes an identically-configured cache and rejects
-  /// out-of-range line indices with the typed snapshot error.
-  void save(snapshot::Writer& w) const;
-  void restore(snapshot::Reader& r);
 
  private:
   struct Line {

@@ -774,7 +774,7 @@ void SmCore::validate_invariants() const {
   // typed errors so a violation fails the run through the taxonomy (distinct
   // exit code, structured stderr) instead of killing the process. Both hold
   // at any cycle boundary, so they are checked on watchdog-aborted partial
-  // runs and before every checkpoint snapshot too.
+  // runs too.
   //
   // (1) Reconciliation: every scheduler-cycle of the run is attributed to
   // exactly one bucket (an issue or one stall cause).
@@ -852,259 +852,6 @@ EventCounters SmCore::run() {
   }
   seal_counters();
   return counters_;
-}
-
-void SmCore::save_state(snapshot::Writer& w) const {
-  w.u64(now_);
-  w.u64(next_block_);
-  w.i32(live_blocks_);
-  w.u8(admitted_midcycle_ ? 1 : 0);
-  for_each_counter(counters_,
-                   [&w](const char*, std::uint64_t v) { w.u64(v); });
-  l1_.save(w);
-  l2_.save(w);
-  // Predictor state is policy-shaped: tag it with the canonical policy spec
-  // so a snapshot can never be deserialized under a different policy's
-  // layout (the file-level config hash pins this too; this guards direct
-  // engine-state restores).
-  w.str(cfg_.predictor.describe());
-  crf_->save(w);
-  w.u8(inject_ ? 1 : 0);
-  if (inject_) {
-    std::uint64_t rng_state[4];
-    inject_->get_rng_state(rng_state);
-    for (const std::uint64_t word : rng_state) w.u64(word);
-  }
-  w.u32(static_cast<std::uint32_t>(pending_crf_.size()));
-  for (const PendingCrfWrite& p : pending_crf_) {
-    w.u64(p.due);
-    w.u32(p.pc);
-    w.u8(p.lane);
-    w.u8(p.carries);
-  }
-  w.u32(static_cast<std::uint32_t>(resident_.size()));
-  for (const Resident& rb : resident_) {
-    w.i32(rb.work_idx);
-    w.i32(rb.live_warps);
-    w.i32(rb.warps_at_barrier);
-  }
-  w.u32(static_cast<std::uint32_t>(cfg_.max_warps_per_sm));
-  const auto regs = static_cast<std::size_t>(kernel_.regs_used);
-  for (int slot = 0; slot < cfg_.max_warps_per_sm; ++slot) {
-    const auto ws = static_cast<std::size_t>(slot);
-    // A retired/never-used slot's fields are dead (admit_blocks rewrites
-    // every field on the next admission), so only active slots carry state.
-    const bool active = mask_bit(active_bits_, slot);
-    w.u8(active ? 1 : 0);
-    if (!active) continue;
-    w.i32(slot_resident_[ws]);
-    const Resident& rb =
-        resident_[static_cast<std::size_t>(slot_resident_[ws])];
-    const BlockWork& bw = work_.blocks[static_cast<std::size_t>(rb.work_idx)];
-    // The stream pointer is serialized as the warp's index within its block
-    // so restore can rebuild it against the re-captured workload.
-    w.u32(static_cast<std::uint32_t>(slot_stream_[ws] - bw.warps.data()));
-    w.u32(slot_cursor_[ws]);
-    w.u8(mask_bit(barrier_bits_, slot) ? 1 : 0);
-    w.u64(slot_ready_hint_[ws]);
-    w.u64(slot_ready_hint_base_[ws]);
-    for (std::size_t r = 0; r < regs; ++r) w.u64(reg_ready_[ws * regs + r]);
-    for (std::size_t r = 0; r < regs; ++r) w.u8(reg_st2_extra_[ws * regs + r]);
-    for (std::size_t p = 0; p < static_cast<std::size_t>(isa::kNumPredRegs);
-         ++p) {
-      w.u64(pred_ready_[ws * static_cast<std::size_t>(isa::kNumPredRegs) + p]);
-    }
-  }
-  for (const std::uint64_t v : fu_busy_) w.u64(v);
-  for (const std::uint64_t v : fu_st2_from_) w.u64(v);
-  w.u32(static_cast<std::uint32_t>(timeline_.size()));
-  for (const std::uint32_t v : timeline_) w.u32(v);
-  for (const int v : last_issued_) w.i32(v);
-}
-
-void SmCore::restore_state(snapshot::Reader& r) {
-  // Same bound the step loop asserts as "timing simulation runaway": clocks
-  // and event times beyond it can only come from snapshot bit rot, and the
-  // idle-skip fast-forward would jump a core straight to a corrupted wake
-  // time and hard-abort instead of rejecting the file. Every time-like
-  // field below goes through this check.
-  constexpr std::uint64_t kMaxTime = 1ULL << 40;
-  const auto read_time = [&r](const char* what) {
-    const std::uint64_t t = r.u64();
-    r.require(t < kMaxTime, std::string(what) + " out of range");
-    return t;
-  };
-  now_ = read_time("SM cycle clock");
-  next_block_ = r.u64();
-  r.require(next_block_ <= work_.blocks.size(),
-            "next-block index out of range");
-  live_blocks_ = r.i32();
-  r.require(live_blocks_ >= 0 && live_blocks_ <= cfg_.max_blocks_per_sm,
-            "live-block count out of range");
-  admitted_midcycle_ = r.u8() != 0;
-  for_each_counter(counters_,
-                   [&r](const char*, std::uint64_t& v) { v = r.u64(); });
-  l1_.restore(r);
-  l2_.restore(r);
-  const std::string policy = r.str();
-  r.require(policy == cfg_.predictor.describe(),
-            "snapshot speculation policy '" + policy +
-                "' differs from the current config ('" +
-                cfg_.predictor.describe() + "')");
-  crf_->restore(r);
-  const bool had_inject = r.u8() != 0;
-  r.require(had_inject == inject_.has_value(),
-            "fault-injection presence differs from the current config");
-  if (inject_) {
-    std::uint64_t rng_state[4];
-    for (std::uint64_t& word : rng_state) word = r.u64();
-    inject_->set_rng_state(rng_state);
-  }
-  const std::uint32_t n_pending = r.u32();
-  r.require(n_pending <= (1u << 24), "pending CRF-write count out of range");
-  pending_crf_.clear();
-  pending_crf_.reserve(n_pending);
-  crf_due_min_ = ~std::uint64_t{0};
-  for (std::uint32_t i = 0; i < n_pending; ++i) {
-    PendingCrfWrite p{};
-    p.due = read_time("pending CRF-write due cycle");
-    p.pc = r.u32();
-    r.require(p.pc < kernel_.code.size(), "pending CRF-write pc out of range");
-    p.lane = r.u8();
-    r.require(p.lane < kWarpSize, "pending CRF-write lane out of range");
-    p.carries = r.u8();
-    r.require(p.carries < 0x80, "pending CRF-write carries out of range");
-    pending_crf_.push_back(p);
-    // The due watermark is derived state: rebuild it, never trust the file.
-    crf_due_min_ = std::min(crf_due_min_, p.due);
-  }
-  const std::uint32_t n_resident = r.u32();
-  r.require(n_resident <= static_cast<std::uint32_t>(cfg_.max_blocks_per_sm),
-            "resident-block count out of range");
-  resident_.assign(n_resident, Resident{});
-  for (Resident& rb : resident_) {
-    rb.work_idx = r.i32();
-    r.require(rb.work_idx >= -1 &&
-                  rb.work_idx < static_cast<int>(work_.blocks.size()),
-              "resident work index out of range");
-    rb.live_warps = r.i32();
-    rb.warps_at_barrier = r.i32();
-    r.require(rb.live_warps >= 0 && rb.warps_at_barrier >= 0 &&
-                  rb.warps_at_barrier <= rb.live_warps,
-              "resident warp accounting out of range");
-  }
-  // Derived, not serialized: recount which restored blocks are release-ripe.
-  barrier_ripe_ = 0;
-  for (const Resident& rb : resident_) {
-    if (rb.work_idx >= 0 && rb.live_warps > 0 &&
-        rb.warps_at_barrier == rb.live_warps) {
-      ++barrier_ripe_;
-    }
-  }
-  const std::uint32_t n_warps = r.u32();
-  r.require(n_warps == static_cast<std::uint32_t>(cfg_.max_warps_per_sm),
-            "warp-slot count differs from the current config");
-  std::fill(active_bits_.begin(), active_bits_.end(), 0);
-  std::fill(barrier_bits_.begin(), barrier_bits_.end(), 0);
-  const auto regs = static_cast<std::size_t>(kernel_.regs_used);
-  for (int slot = 0; slot < cfg_.max_warps_per_sm; ++slot) {
-    const auto ws = static_cast<std::size_t>(slot);
-    // Reset the banks to admission defaults; active slots overwrite below.
-    slot_stream_[ws] = nullptr;
-    slot_ops_[ws] = nullptr;
-    slot_cursor_[ws] = 0;
-    slot_len_[ws] = 0;
-    slot_resident_[ws] = -1;
-    slot_ready_hint_[ws] = 0;
-    slot_ready_hint_base_[ws] = 0;
-    const bool active = r.u8() != 0;
-    if (!active) continue;
-    set_mask_bit(active_bits_, slot);
-    slot_resident_[ws] = r.i32();
-    r.require(slot_resident_[ws] >= 0 &&
-                  slot_resident_[ws] < static_cast<int>(resident_.size()),
-              "slot resident index out of range");
-    const Resident& rb =
-        resident_[static_cast<std::size_t>(slot_resident_[ws])];
-    r.require(rb.work_idx >= 0, "slot points at a free resident entry");
-    const BlockWork& bw = work_.blocks[static_cast<std::size_t>(rb.work_idx)];
-    const std::uint32_t warp_in_block = r.u32();
-    r.require(warp_in_block < bw.warps.size(),
-              "slot warp index out of range for its block");
-    const WarpStream& stream =
-        bw.warps[static_cast<std::size_t>(warp_in_block)];
-    slot_stream_[ws] = &stream;
-    slot_ops_[ws] = stream.ops.data();
-    slot_len_[ws] = static_cast<std::uint32_t>(stream.ops.size());
-    slot_cursor_[ws] = r.u32();
-    r.require(slot_cursor_[ws] <= slot_len_[ws],
-              "slot cursor past the end of its stream");
-    if (r.u8() != 0) set_mask_bit(barrier_bits_, slot);
-    slot_ready_hint_[ws] = read_time("slot ready hint");
-    slot_ready_hint_base_[ws] = read_time("slot ready-hint base");
-    for (std::size_t reg = 0; reg < regs; ++reg) {
-      reg_ready_[ws * regs + reg] = read_time("register ready cycle");
-    }
-    for (std::size_t reg = 0; reg < regs; ++reg) {
-      reg_st2_extra_[ws * regs + reg] = r.u8();
-    }
-    for (std::size_t p = 0; p < static_cast<std::size_t>(isa::kNumPredRegs);
-         ++p) {
-      pred_ready_[ws * static_cast<std::size_t>(isa::kNumPredRegs) + p] =
-          read_time("predicate ready cycle");
-    }
-  }
-  // Cross-field liveness accounting. The step loop trusts these counts to
-  // decide progress (a block retires when live_warps hits zero, the SM
-  // finishes when live_blocks_ does); a snapshot where they disagree with
-  // the actual warp slots would idle-step forever instead of finishing.
-  int live_residents = 0;
-  for (std::size_t i = 0; i < resident_.size(); ++i) {
-    if (resident_[i].work_idx < 0) continue;
-    ++live_residents;
-    int active = 0;
-    int at_barrier = 0;
-    for (int slot = 0; slot < cfg_.max_warps_per_sm; ++slot) {
-      if (!mask_bit(active_bits_, slot) ||
-          slot_resident_[static_cast<std::size_t>(slot)] !=
-              static_cast<int>(i)) {
-        continue;
-      }
-      ++active;
-      at_barrier += mask_bit(barrier_bits_, slot) ? 1 : 0;
-    }
-    r.require(active == resident_[i].live_warps &&
-                  at_barrier == resident_[i].warps_at_barrier,
-              "resident-block warp accounting disagrees with warp slots");
-  }
-  r.require(live_residents == live_blocks_,
-            "live-block count disagrees with resident blocks");
-  for (std::uint64_t& v : fu_busy_) v = read_time("FU busy-until cycle");
-  for (std::uint64_t& v : fu_st2_from_) {
-    v = read_time("FU ST2-tail start cycle");
-  }
-  const std::uint32_t n_timeline = r.u32();
-  r.require(n_timeline <= (1u << 28), "timeline bucket count out of range");
-  timeline_.assign(n_timeline, 0);
-  for (std::uint32_t& v : timeline_) v = r.u32();
-  for (int& v : last_issued_) {
-    v = r.i32();
-    r.require(v >= -1 && v < cfg_.max_warps_per_sm,
-              "last-issued warp index out of range");
-  }
-  topo_gen_ = 0;  // scan-local generation counter; no scan is in flight
-  // Restored cores are live by definition; re-sealing at the end is
-  // deterministic and idempotent.
-  sealed_ = false;
-  // A restored state that fails the self-checks is a *snapshot* problem
-  // (bit rot that slipped past the per-field range checks), not a
-  // simulator bug — reclassify so the caller rejects the file.
-  try {
-    validate_invariants();
-  } catch (const SimError& e) {
-    throw SimError(SimErrorKind::kSnapshotInvalid, "restored SM state",
-                   e.what());
-  }
 }
 
 }  // namespace st2::sim

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "src/common/contracts.hpp"
-#include "src/snapshot/serial.hpp"
 
 namespace st2::spec {
 
@@ -27,21 +26,6 @@ bool CarryRegisterFile::entries_valid() const {
     }
   }
   return (msbs & 0x8080808080808080ULL) == 0;
-}
-
-void CarryRegisterFile::save_table(snapshot::Writer& w) const {
-  for (const auto& row : rows_) {
-    for (const std::uint8_t e : row) w.u8(e);
-  }
-}
-
-void CarryRegisterFile::restore_table(snapshot::Reader& r) {
-  for (auto& row : rows_) {
-    for (std::uint8_t& e : row) {
-      e = r.u8();
-      r.require(e < 0x80, "CRF entry is not a legal 7-bit pattern");
-    }
-  }
 }
 
 }  // namespace st2::spec

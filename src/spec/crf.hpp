@@ -58,10 +58,6 @@ class CarryRegisterFile final : public CarryPredictor {
   void write(std::uint64_t cell, std::uint64_t, std::uint8_t carries) override {
     rows_[cell / kLanes][cell % kLanes] = carries;
   }
-  /// The history table; `restore_table` rejects illegal (>= 0x80) patterns
-  /// with the typed snapshot error.
-  void save_table(snapshot::Writer& w) const override;
-  void restore_table(snapshot::Reader& r) override;
 
   std::array<std::array<std::uint8_t, kLanes>, kRows> rows_{};
 };

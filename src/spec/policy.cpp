@@ -6,7 +6,6 @@
 
 #include "src/common/contracts.hpp"
 #include "src/common/rng.hpp"
-#include "src/snapshot/serial.hpp"
 #include "src/spec/crf.hpp"
 
 namespace st2::spec {
@@ -194,24 +193,6 @@ void CarryPredictor::commit(std::span<const CarryWrite> writes) {
   resolved_.clear();
 }
 
-void CarryPredictor::save(snapshot::Writer& w) const {
-  save_table(w);
-  std::uint64_t rng_state[4];
-  rng_.get_state(rng_state);
-  for (const std::uint64_t word : rng_state) w.u64(word);
-  w.u64(lane_writes_);
-  w.u64(write_conflicts_);
-}
-
-void CarryPredictor::restore(snapshot::Reader& r) {
-  restore_table(r);
-  std::uint64_t rng_state[4];
-  for (std::uint64_t& word : rng_state) word = r.u64();
-  rng_.set_state(rng_state);
-  lane_writes_ = r.u64();
-  write_conflicts_ = r.u64();
-}
-
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -250,15 +231,6 @@ class MruPredictor final : public CarryPredictor {
     table_[cell] = carries;
   }
 
-  void save_table(snapshot::Writer& w) const override {
-    for (const std::uint8_t e : table_) w.u8(e);
-  }
-  void restore_table(snapshot::Reader& r) override {
-    for (std::uint8_t& e : table_) {
-      e = r.u8();
-      r.require(e < 0x80, "mru entry is not a legal 7-bit pattern");
-    }
-  }
 
   std::array<std::uint8_t, 32> table_{};
 };
@@ -296,11 +268,6 @@ class StaticPredictor final : public CarryPredictor {
   }
   void write(std::uint64_t, std::uint64_t, std::uint8_t) override {}
 
-  void save_table(snapshot::Writer& w) const override { w.u8(pattern_); }
-  void restore_table(snapshot::Reader& r) override {
-    pattern_ = r.u8();
-    r.require(pattern_ < 0x80, "static pattern is not a legal 7-bit value");
-  }
 
   std::uint8_t pattern_;
 };
@@ -405,40 +372,6 @@ class TagePredictor final : public CarryPredictor {
     const auto entries = static_cast<std::uint64_t>(cfg_.tage_entries);
     apply(pc, static_cast<int>((row - 1) / entries),
           static_cast<std::uint32_t>((row - 1) % entries), lane, carries);
-  }
-
-  void save_table(snapshot::Writer& w) const override {
-    for (const std::uint8_t e : base_) w.u8(e);
-    for (const std::uint32_t p : ring_) w.u32(p);
-    w.u32(ring_pos_);
-    for (const Entry& e : tables_) {
-      w.u8(e.valid);
-      w.u16(e.tag);
-      w.u8(e.useful);
-      for (const std::uint8_t v : e.row) w.u8(v);
-    }
-  }
-
-  void restore_table(snapshot::Reader& r) override {
-    for (std::uint8_t& e : base_) {
-      e = r.u8();
-      r.require(e < 0x80, "tage base entry is not a legal 7-bit pattern");
-    }
-    for (std::uint32_t& p : ring_) p = r.u32();
-    ring_pos_ = r.u32();
-    r.require(ring_pos_ < kRing, "tage history cursor out of range");
-    for (Entry& e : tables_) {
-      e.valid = r.u8();
-      r.require(e.valid <= 1, "tage valid flag out of range");
-      e.tag = r.u16();
-      r.require(e.tag < (1u << 11), "tage tag out of range");
-      e.useful = r.u8();
-      r.require(e.useful <= 3, "tage useful counter out of range");
-      for (std::uint8_t& v : e.row) {
-        v = r.u8();
-        r.require(v < 0x80, "tage entry is not a legal 7-bit pattern");
-      }
-    }
   }
 
   int hist_len(int table) const { return cfg_.tage_min_hist << table; }

@@ -30,11 +30,6 @@
 
 #include "src/common/rng.hpp"
 
-namespace st2::snapshot {
-class Writer;
-class Reader;
-}  // namespace st2::snapshot
-
 namespace st2::spec {
 
 enum class PredictorKind : std::uint8_t { kCrf = 0, kMru, kTage, kStatic };
@@ -62,8 +57,7 @@ struct PredictorConfig {
 
   static PredictorConfig parse(const std::string& spec);
 
-  /// Canonical spec string: `parse(describe())` round-trips, and the string
-  /// is what the snapshot layer pins per-SM predictor state against.
+  /// Canonical spec string: `parse(describe())` round-trips.
   std::string describe() const;
 
   const char* policy_name() const;
@@ -91,10 +85,7 @@ struct CarryWrite {
 ///    lane_writes() + write_conflicts() accounts for every write ever
 ///    committed;
 ///  - entries_valid() holds after any interleaving of operations, including
-///    flip_bit fault injections (patterns stay legal 7-bit values);
-///  - save/restore round-trip the complete state bit-identically and
-///    restore rejects every out-of-range field with the typed snapshot
-///    error.
+///    flip_bit fault injections (patterns stay legal 7-bit values).
 class CarryPredictor {
  public:
   explicit CarryPredictor(std::uint64_t seed) : rng_(seed) {}
@@ -119,12 +110,6 @@ class CarryPredictor {
   /// Consistency invariant: every stored pattern is a legal 7-bit value.
   virtual bool entries_valid() const = 0;
 
-  /// Checkpoint support: the policy's table, then the arbitration RNG and
-  /// the write counters. `restore` rejects malformed bytes with the typed
-  /// snapshot error, never UB.
-  void save(snapshot::Writer& w) const;
-  void restore(snapshot::Reader& r);
-
   std::uint64_t lane_writes() const { return lane_writes_; }
   std::uint64_t write_conflicts() const { return write_conflicts_; }
 
@@ -137,8 +122,6 @@ class CarryPredictor {
   /// Lands an arbitration winner in `cell` (as returned by `cell`).
   virtual void write(std::uint64_t cell, std::uint64_t pc,
                      std::uint8_t carries) = 0;
-  virtual void save_table(snapshot::Writer& w) const = 0;
-  virtual void restore_table(snapshot::Reader& r) = 0;
 
  private:
   struct Resolved {

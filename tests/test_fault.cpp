@@ -222,12 +222,64 @@ TEST(Watchdog, AbortsWithConsistentPartialCounters) {
   EXPECT_GT(r.chip.cycles, 0u);
 }
 
+/// A replay's status, abort cause, chip and per-SM counters and per-SM
+/// timelines as one comparable value; the `jobs` metadata is left out.
+std::string fingerprint(const sim::RunReport& r) {
+  std::string s = r.status + '|' + r.abort_reason + '\n';
+  const auto dump = [&s](const sim::EventCounters& c) {
+    for (const std::uint64_t v : counter_values(c)) s += std::to_string(v) + ' ';
+    s += '\n';
+  };
+  dump(r.chip);
+  for (const sim::SmReport& sm : r.per_sm) {
+    s += "sm" + std::to_string(sm.sm) + (sm.aborted ? " aborted\n" : " ok\n");
+    dump(sm.counters);
+    for (const std::uint32_t t : sm.timeline) s += std::to_string(t) + ' ';
+    s += '\n';
+  }
+  return s;
+}
+
 TEST(Watchdog, PartialReportBitIdenticalAcrossJobs) {
   const CaseResult one = run_case("pathfinder", fault::FaultConfig{}, 1, 64);
   const CaseResult four = run_case("pathfinder", fault::FaultConfig{}, 4, 64);
   EXPECT_EQ(one.status, "aborted:watchdog-cycles");
   EXPECT_EQ(four.status, one.status);
   EXPECT_EQ(counter_values(one.chip), counter_values(four.chip));
+
+  // The budget stops every SM at the first state with now() >= budget, so a
+  // partial report — per-SM counters and timelines included — cannot depend
+  // on the thread schedule, for budgets below, inside and past any kernel's
+  // run. Three suites' kernels, each one launch replayed at jobs 1, 2 and 4.
+  sim::GpuConfig cfg = sim::GpuConfig::st2();
+  cfg.num_sms = 4;
+  cfg.timeline_bucket = 64;
+  for (const char* name : {"pathfinder", "sad_K1", "binomial"}) {
+    workloads::PreparedCase wc = workloads::prepare_case(name, 0.1);
+    const sim::GridCapture cap =
+        sim::capture_grid(cfg, wc.kernel, wc.launches[0], *wc.mem);
+    for (const std::uint64_t budget :
+         {1ull, 7ull, 64ull, 300ull, 5000ull, 1ull << 30}) {
+      std::string serial;
+      for (const int jobs : {1, 2, 4}) {
+        sim::EngineOptions opts{jobs};
+        opts.watchdog_cycles = budget;
+        const sim::RunReport r =
+            sim::ExecutionEngine(cfg, opts).replay(wc.kernel, cap);
+        // Guard against a vacuous pass: the smallest budget cuts the run
+        // short, the largest lets it finish.
+        if (budget == 1 || budget == 1ull << 30) {
+          EXPECT_EQ(r.aborted(), budget == 1) << name << " jobs=" << jobs;
+        }
+        if (jobs == 1) {
+          serial = fingerprint(r);
+        } else {
+          EXPECT_EQ(fingerprint(r), serial)
+              << name << " budget=" << budget << " jobs=" << jobs;
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------- error model
