@@ -541,9 +541,11 @@ int SmCore::speculate(const WarpStream& ws, const TraceOp& op, int latency) {
         static_cast<std::uint8_t>(1u << flip_bit);
     ++counters_.faults_hist_flips;
   }
-  const spec::WarpResolve r =
-      spec::resolve_warp(row.data(), ws.adder_lanes[op.payload],
-                         static_[op.pc].relevant, op.active_mask, 0xff, edits);
+  const spec::WarpResolve r = spec::resolve_warp(
+      row.data(),
+      spec::lane_words(ws.adder_lanes[op.payload], static_[op.pc].relevant,
+                       op.active_mask),
+      edits);
 
   counters_.adder_thread_ops += r.tally.ops;
   // A lane computes num_slices slices: its carry bits plus one.

@@ -29,8 +29,8 @@ spec::AddOp make_add_op(const ExecRecord& rec, int lane) {
 }
 
 void SpeculationHarness::feed_adder(const ExecRecord& rec) {
-  const spec::WarpTally t = speculator_.step(
-      rec.pc, lane_gtid(rec, 0), rec.lanes, rec.relevant, rec.active_mask);
+  const spec::WarpTally t =
+      speculator_.step(rec.pc, lane_gtid(rec, 0), rec.words());
   op_mispredicts_.record(t.mispredicted, t.ops);
   bit_mispredicts_.record(t.wrong_bits, t.carry_bits);
   slice_recomputes_ += t.recomputes;

@@ -5,11 +5,13 @@
 // *before* any lane's outcome trains the tables (the CRF row is read once in
 // the register-read stage; updates land at write-back), then every lane
 // composes its prediction, resolves it and trains, as a lane-order loop
-// would. A warp makes one probe into the row table and runs the packed
-// step (LatticeRule::step) on the lane planes and relevant mask step()
-// stored in the ExecRecord: the tallies are counted once per instruction,
-// and a shared entry takes its last writer's merge. feed's adder test is
-// inline, so a non-adder record costs each harness a test, not a call.
+// would. A warp makes one probe into the row table (none for the static
+// bases) and runs its lattice point's packed step (spec::lattice_step) on
+// the record's lane words (ExecRecord::words): the record derives them on
+// the first harness's feed and every later harness reuses them, so the
+// history-free work is done once per record, not once per lattice point.
+// feed's adder test is inline, so a non-adder record costs each harness a
+// test, not a call.
 #pragma once
 
 #include <cstdint>

@@ -33,14 +33,10 @@ void RowTable::grow() {
 
 CarrySpeculator::CarrySpeculator(const SpeculationConfig& cfg)
     : cfg_(cfg),
+      step_(step_for(cfg)),
       tabled_(cfg.base == BasePolicy::kPrev ||
               cfg.base == BasePolicy::kValhalla),
       constant_(cfg.base == BasePolicy::kStaticOne ? 0x7f : 0) {
-  rule_.peek_keep = cfg.peek ? 0xff : 0;
-  rule_.valhalla = cfg.base == BasePolicy::kValhalla;
-  rule_.write_on_miss = cfg.base == BasePolicy::kPrev;
-  rule_.write_always =
-      rule_.valhalla || (rule_.write_on_miss && cfg.always_write);
   switch (cfg.pc) {
     case PcIndexing::kNone: pc_mask_ = 0; break;
     case PcIndexing::kFull: pc_mask_ = ~std::uint64_t{0}; break;
@@ -51,20 +47,75 @@ CarrySpeculator::CarrySpeculator(const SpeculationConfig& cfg)
   }
   gtid_mask_ = cfg.scope == ThreadScope::kGlobalTid ? ~0u : 0u;
   ltid_mask_ = cfg.scope == ThreadScope::kLocalTid ? ~0u : 0u;
-  rule_.per_lane = tabled_ && cfg.scope != ThreadScope::kShared;
+}
+
+template <bool kPeek, bool kPerLane, Training kTrain>
+WarpTally CarrySpeculator::step_as(std::uint64_t pc, std::uint32_t gtid0,
+                                   const LaneWords& w) {
+  if constexpr (kTrain == Training::kNone) {
+    std::uint8_t constant = constant_;
+    return lattice_step<kPeek, false, kTrain>(w, 0, &constant);
+  } else {
+    RowTable::Row& row = table_.find_or_insert(slot(pc, gtid0, 0).row);
+    // A row scope occupies every active lane's entry; the shared entry is
+    // fresh for the lowest active lane only.
+    const std::uint32_t fresh =
+        kPerLane ? table_.occupy(row, w.active)
+                 : table_.occupy(row, 1u) * (w.active & (0u - w.active));
+    return lattice_step<kPeek, kPerLane, kTrain>(w, fresh,
+                                                 row.entries.data());
+  }
+}
+
+CarrySpeculator::Step CarrySpeculator::step_for(const SpeculationConfig& cfg) {
+  // Indexed [peek][per_lane][training]; the static bases have no row.
+  constexpr Step kSteps[2][2][4] = {
+      {{&CarrySpeculator::step_as<false, false, Training::kNone>,
+        &CarrySpeculator::step_as<false, false, Training::kPrev>,
+        &CarrySpeculator::step_as<false, false, Training::kPrevAlways>,
+        &CarrySpeculator::step_as<false, false, Training::kValhalla>},
+       {nullptr, &CarrySpeculator::step_as<false, true, Training::kPrev>,
+        &CarrySpeculator::step_as<false, true, Training::kPrevAlways>,
+        &CarrySpeculator::step_as<false, true, Training::kValhalla>}},
+      {{&CarrySpeculator::step_as<true, false, Training::kNone>,
+        &CarrySpeculator::step_as<true, false, Training::kPrev>,
+        &CarrySpeculator::step_as<true, false, Training::kPrevAlways>,
+        &CarrySpeculator::step_as<true, false, Training::kValhalla>},
+       {nullptr, &CarrySpeculator::step_as<true, true, Training::kPrev>,
+        &CarrySpeculator::step_as<true, true, Training::kPrevAlways>,
+        &CarrySpeculator::step_as<true, true, Training::kValhalla>}}};
+  Training train = Training::kNone;
+  switch (cfg.base) {
+    case BasePolicy::kStaticZero:
+    case BasePolicy::kStaticOne: train = Training::kNone; break;
+    case BasePolicy::kValhalla: train = Training::kValhalla; break;
+    case BasePolicy::kPrev:
+      train = cfg.always_write ? Training::kPrevAlways : Training::kPrev;
+      break;
+  }
+  const bool per_lane =
+      train != Training::kNone && cfg.scope != ThreadScope::kShared;
+  return kSteps[cfg.peek][per_lane][static_cast<int>(train)];
 }
 
 SpeculationOutcome CarrySpeculator::resolve(const AddOp& op,
                                             const Prediction& pred) {
-  const LaneRecord l = rule_.lane(op.a, op.b, op.cin, op.num_slices);
+  const LaneRecord l = lane(op);
   const SpeculationOutcome out =
       resolve_prediction(pred, l.actual, op.num_slices);
   if (!tabled_) return out;  // the static bases never train
   const Slot s = slot(op.pc, op.gtid, op.ltid);
   RowTable::Row& row = table_.find_or_insert(s.row);
-  const std::uint32_t fresh = table_.occupy(row, 1u << s.lane);
-  rule_.train(row.entries[static_cast<std::size_t>(s.lane)], l,
-              out.any_misprediction(), fresh != 0);
+  const bool fresh = table_.occupy(row, 1u << s.lane) != 0;
+  std::uint8_t& e = row.entries[static_cast<std::size_t>(s.lane)];
+  // The lane rule lattice_step packs: VaLHALLA broadcasts on every add;
+  // Prev writes the merge on a misprediction, a first touch or always
+  // under always_write.
+  if (cfg_.base == BasePolicy::kValhalla) {
+    e = l.actual != 0 ? 0x7f : 0;
+  } else if (out.any_misprediction() || fresh || cfg_.always_write) {
+    e = merge_history(e, l);
+  }
   return out;
 }
 

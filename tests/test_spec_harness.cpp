@@ -95,15 +95,22 @@ TEST(SpecHarness, RecomputeAccountingMatchesOutcome) {
 
 /// Seeded random adder records: Gtid blocks of up to 32 warps revisited
 /// often enough that rows retrain, partial and divergent active masks, a
-/// small PC pool with full-width PCs, and 3/4/7/8-slice adds (one slice
-/// count per record, as an opcode fixes it). Inactive lanes hold noise.
+/// small PC pool with full-width PCs, and FP32, integer and FP64 adds (3,
+/// 4 and 7 slices; the record's opcode fixes its slice count, and with it
+/// the relevant mask its words use). Inactive lanes hold noise.
 /// Each active lane's lane bytes are the lane_record FunctionalCore::step
 /// would store for its micro-op.
 std::vector<ExecRecord> random_records(int n) {
   Xoshiro256 rng(0x1a77ce5ULL);
   constexpr std::uint32_t kPcs[] = {0, 1, 2, 3, 5, 8, 13, 17, 21, 34,
                                     0xfffffff0u, 0xffffffffu};
-  constexpr int kSlices[] = {3, 4, 7, 8};
+  static const std::array<isa::Instruction, 3> kAdders = [] {
+    std::array<isa::Instruction, 3> in{};
+    in[0].op = isa::Opcode::kFAdd;
+    in[1].op = isa::Opcode::kIAdd;
+    in[2].op = isa::Opcode::kDAdd;
+    return in;
+  }();
   const auto operand = [&rng]() -> std::uint64_t {
     const std::uint64_t raw = rng.next_u64();
     switch (rng.next_below(4)) {
@@ -123,8 +130,8 @@ std::vector<ExecRecord> random_records(int n) {
                       : pick == 1 ? 0xffffu >> rng.next_below(16)  // partial
                                   : std::max(rng.next_u32(), 1u);
     rec.has_adder_op = true;
-    const int slices = kSlices[rng.next_below(std::size(kSlices))];
-    rec.relevant = spec::relevant_mask(slices);
+    rec.instr = &kAdders[rng.next_below(kAdders.size())];
+    const int slices = adder_slices(rec.instr->op);
     for (int lane = 0; lane < kWarpSize; ++lane) {
       const auto l = static_cast<std::size_t>(lane);
       AdderMicroOp& m = rec.adder[l];
