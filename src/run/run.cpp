@@ -55,6 +55,13 @@ CaseResult run_case(const Machine& m, workloads::PreparedCase& pc,
   sim::ExecutionEngine eng(m.cfg, m.opts);
   CaseResult res;
   for (std::size_t li = 0; li < pc.launches.size(); ++li) {
+    // An interrupt raised during a launch that still finished stops the
+    // kernel here: replay polls the flag only every few thousand steps, so
+    // a short launch would otherwise never see it.
+    if (li > 0 && m.opts.cancel != nullptr && m.opts.cancel->load()) {
+      res.abort_reason = "interrupted";
+      return res;
+    }
     const sim::GridCapture cap = [&] {
       PhaseTimer pt(hooks.capture_s);
       return eng.capture(pc.kernel, pc.launches[li], *pc.mem);

@@ -87,7 +87,9 @@ struct LaunchHooks {
 
 /// The launch loop: captures and replays every launch of `pc` in order on
 /// `m`, stops after the first aborted launch (later launches would run on
-/// inconsistent timing state), then runs the host validation.
+/// inconsistent timing state), then runs the host validation. A raised
+/// `m.opts.cancel` flag also stops it before any later launch, as
+/// "interrupted" and without validation.
 CaseResult run_case(const Machine& m, workloads::PreparedCase& pc,
                     const LaunchHooks& hooks = {});
 

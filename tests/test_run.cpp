@@ -165,5 +165,43 @@ TEST(RunCase, CancelAbortsEveryUnfinishedSmAsInterrupted) {
   }
 }
 
+// An interrupt raised while a launch runs, which that launch finishes
+// without seeing (replay polls the flag only every few thousand steps),
+// stops the kernel before its next launch: pathfinder has 3 launches, and
+// the flag raised from launch 0's report leaves launch 0's counters only,
+// exit 130 and no validation.
+TEST(RunCase, CancelStopsTheRemainingLaunches) {
+  RunSpec rs;
+  rs.kernel = "pathfinder";
+  rs.st2 = true;
+  rs.validate();
+  Machine m = rs.machine();
+  std::atomic<bool> cancel{false};
+  m.opts.cancel = &cancel;
+  workloads::PreparedCase pc = workloads::prepare_case(rs.kernel, rs.scale);
+  ASSERT_EQ(pc.launches.size(), 3u);
+  std::vector<std::size_t> reported;
+  sim::EventCounters first;
+  std::uint64_t first_cycles = 0;
+  LaunchHooks hooks;
+  hooks.on_report = [&](std::size_t launch, const sim::RunReport& r) {
+    reported.push_back(launch);
+    if (launch == 0) {
+      first = r.chip;
+      first_cycles = r.wall_cycles();
+      EXPECT_FALSE(r.aborted());
+    }
+    cancel = true;
+  };
+  const CaseResult res = run_case(m, pc, hooks);
+  EXPECT_EQ(reported, std::vector<std::size_t>{0});
+  EXPECT_EQ(res.abort_reason, "interrupted");
+  EXPECT_EQ(res.exit_code(), 130);
+  EXPECT_FALSE(res.valid);  // validation never runs after an interrupt
+  EXPECT_EQ(res.counters, first);
+  EXPECT_EQ(res.cycles, first_cycles);
+  EXPECT_GT(first.warp_instructions, 0u);
+}
+
 }  // namespace
 }  // namespace st2::run
